@@ -2,14 +2,16 @@
 
 All results are JSON on stdout with sorted keys; diagnostics go to stderr.
 Exit codes: 0 success, 1 property failure, 2 input error, 3 conformance
-(space mismatch) error.  Every command is deterministic given its flags:
-identical invocations produce identical bytes.
+(space mismatch) error, 4 solver fault (the LP solver failed on a program
+that is feasible by construction).  Every command is deterministic given
+its flags: identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .bottleneck import ib_distortion, ib_learn
 from .decisions import bayes_decision_rule, feature_gap, mutual_information, value
-from .deficiency import directed_deficiency, weighted_directed_deficiency
+from .deficiency import SolverError, directed_deficiency, weighted_directed_deficiency
 from .fileio import DEFAULT_MAX_DIM, ExperimentFile, SchemaError, load_experiment
 from .kernels import MarkovKernel, SpaceMismatchError, pushforward
 from .reconstruction import autoencode, stack
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CONFORMANCE_ERROR = 3
+EXIT_SOLVER_FAULT = 4
 
 
 def _emit(payload: dict) -> None:
@@ -35,6 +38,16 @@ def _emit(payload: dict) -> None:
 
 def _matrix(kernel: MarkovKernel) -> list[list[float]]:
     return [[float(v) for v in row] for row in kernel.matrix]
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _load(args) -> ExperimentFile:
@@ -191,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prior", help="distribution name for the weighted variant")
     group.add_argument("--sup", action="store_true", help="worst case over priors")
-    p.add_argument("--factor-tol", type=float, default=1e-6, help="factorization tolerance")
+    p.add_argument("--factor-tol", type=_tolerance, default=1e-6, help="factorization tolerance")
     p.set_defaults(func=_cmd_deficiency)
 
     p = sub.add_parser("autoencode", help="train a discrete autoencoder on a prior")
@@ -244,6 +257,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SpaceMismatchError as err:
         sys.stderr.write(f"conformance error: {err}\n")
         return EXIT_CONFORMANCE_ERROR
+    except SolverError as err:
+        sys.stderr.write(f"solver fault: {err}\n")
+        return EXIT_SOLVER_FAULT
     except ValueError as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT_ERROR

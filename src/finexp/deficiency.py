@@ -7,16 +7,18 @@ hypotheses (equivalently, the supremum over priors), and the weighted
 deficiency symmetrizes.  Every solve returns the optimizing post-processing
 kernel as a feasibility witness together with a residual certificate.
 
-The optimization is a plain dense LP.  With the witness V (columns are
-output distributions per observed symbol) and slack s bounding the absolute
-residuals entrywise, the weighted program is
+Both variants solve one equality-form LP.  With the witness V (columns are
+output distributions per observed symbol) and the residual split into its
+positive and negative parts r+ and r-, the weighted program is
 
-    min  sum_{y,theta} prior(theta) * s[y,theta]
-    s.t. -s <= U - V T <= s,  columns of V sum to 1,  V, s >= 0
+    min  sum_{y,theta} prior(theta) * (r+ + r-)[y,theta]
+    s.t. V T + r+ - r- = U,  columns of V sum to 1,  V, r+, r- >= 0
 
-and the worst-case program replaces the objective by a single bound t on
-every per-hypothesis residual sum.  Problem sizes here are desk scale, so
-the dense formulation is deliberate.
+At an optimum r+ and r- never overlap where the prior is positive, so
+their sum is the absolute residual.  The worst-case program keeps the same
+equality rows, adds one variable t, and minimizes t subject to
+sum_y (r+ + r-)[y,theta] <= t for every hypothesis.  Problem sizes here are
+desk scale, so the matrices are dense.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .kernels import Distribution, FiniteSpace, MarkovKernel, _mismatch
+from .kernels import Distribution, MarkovKernel, _mismatch
+
+
+class SolverError(RuntimeError):
+    """The LP solver failed on a program that is feasible by construction."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,40 +72,43 @@ def _check_pair(first: MarkovKernel, second: MarkovKernel) -> None:
         raise _mismatch("deficiency: experiments must share hypotheses", first.source, second.source)
 
 
-def _solve(c, a_ub, b_ub, a_eq, b_eq):
+def _solve(c, a_eq, b_eq, a_ub=None, b_ub=None):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         # the feasible set is a nonempty polytope by construction, so any
         # failure is a solver defect rather than a modeling outcome
-        raise RuntimeError(f"internal LP failure (status {res.status}): {res.message}")
+        raise SolverError(f"internal LP failure (status {res.status}): {res.message}")
     return res
 
 
-def _witness_kernel(raw: np.ndarray, source: FiniteSpace, target: FiniteSpace) -> MarkovKernel:
-    v = np.clip(raw, 0.0, None)
+def _witness_kernel(x: np.ndarray, first: MarkovKernel, second: MarkovKernel) -> MarkovKernel:
+    """The post-processing V read from the leading variables of an LP solution."""
+    nx, ny = first.target.size, second.target.size
+    v = np.clip(x[: ny * nx].reshape(ny, nx), 0.0, None)
     sums = v.sum(axis=0)
     dead = sums <= 0
     if np.any(dead):
-        v[:, dead] = 1.0 / target.size
+        v[:, dead] = 1.0 / ny
         sums = v.sum(axis=0)
-    return MarkovKernel(source, target, v / sums)
+    return MarkovKernel(first.target, second.target, v / sums)
 
 
-def _residual_blocks(first: MarkovKernel, second: MarkovKernel):
-    """Inequality rows enforcing -s <= U - V T <= s, in (v, s) variable order."""
-    ny = second.target.size
-    ns = ny * first.source.size
-    block = np.kron(np.eye(ny), first.matrix.T)
-    eye_s = np.eye(ns)
-    a = np.block([[-block, -eye_s], [block, -eye_s]])
-    u_flat = second.matrix.reshape(-1)
-    b = np.concatenate([-u_flat, u_flat])
+def _equality_rows(first: MarkovKernel, second: MarkovKernel, extra: int):
+    """Rows V T + r+ - r- = U and the column sums of V, in (v, r+, r-, extra) order.
+
+    Row ``y*nt + theta`` is the residual entry (y, theta); variable ``y*nx + x``
+    is V[y, x] and ``y*nt + theta`` indexes each of r+ and r-.
+    """
+    nx, ny, nt = first.target.size, second.target.size, first.source.size
+    nv, nr = ny * nx, ny * nt
+    a = np.zeros((nr + nx, nv + 2 * nr + extra))
+    for y in range(ny):
+        a[y * nt:(y + 1) * nt, y * nx:(y + 1) * nx] = first.matrix.T
+    np.fill_diagonal(a[:nr, nv:], 1.0)
+    np.fill_diagonal(a[:nr, nv + nr:], -1.0)
+    a[nr:, :nv] = np.tile(np.eye(nx), ny)
+    b = np.concatenate([second.matrix.reshape(-1), np.ones(nx)])
     return a, b
-
-
-def _column_sum_rows(nx: int, ny: int, extra: int):
-    a = np.hstack([np.kron(np.ones((1, ny)), np.eye(nx)), np.zeros((nx, extra))])
-    return a, np.ones(nx)
 
 
 def weighted_directed_deficiency(
@@ -112,15 +121,11 @@ def weighted_directed_deficiency(
     _check_pair(first, second)
     if prior.space != first.source:
         raise _mismatch("deficiency: prior", first.source, prior.space)
-    nx, ny, nt = first.target.size, second.target.size, first.source.size
-    nv, ns = ny * nx, ny * nt
-
-    a_ub, b_ub = _residual_blocks(first, second)
-    a_eq, b_eq = _column_sum_rows(nx, ny, ns)
-    c = np.concatenate([np.zeros(nv), np.tile(prior.mass, ny)])
-
-    res = _solve(c, a_ub, b_ub, a_eq, b_eq)
-    witness = _witness_kernel(res.x[:nv].reshape(ny, nx), first.target, second.target)
+    nv = second.target.size * first.target.size
+    a_eq, b_eq = _equality_rows(first, second, 0)
+    c = np.concatenate([np.zeros(nv), np.tile(prior.mass, 2 * second.target.size)])
+    res = _solve(c, a_eq, b_eq)
+    witness = _witness_kernel(res.x, first, second)
     delta = max(0.0, float(res.fun))
     gap = abs(weighted_objective(first, second, prior, witness) - delta)
     return DeficiencyResult(delta=delta, witness=witness, objective_gap=gap)
@@ -129,19 +134,15 @@ def weighted_directed_deficiency(
 def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> DeficiencyResult:
     """Worst case over hypotheses (equivalently priors) of the simulation error."""
     _check_pair(first, second)
-    nx, ny, nt = first.target.size, second.target.size, first.source.size
-    nv, ns = ny * nx, ny * nt
-
-    a_res, b_res = _residual_blocks(first, second)
+    ny, nt = second.target.size, first.source.size
+    nv = ny * first.target.size
+    a_eq, b_eq = _equality_rows(first, second, 1)
     # per-hypothesis residual sums bounded by the single variable t
-    a_top = np.hstack([np.zeros((nt, nv)), np.kron(np.ones((1, ny)), np.eye(nt)), -np.ones((nt, 1))])
-    a_ub = np.vstack([np.hstack([a_res, np.zeros((a_res.shape[0], 1))]), a_top])
-    b_ub = np.concatenate([b_res, np.zeros(nt)])
-    a_eq, b_eq = _column_sum_rows(nx, ny, ns + 1)
-    c = np.concatenate([np.zeros(nv + ns), [1.0]])
-
-    res = _solve(c, a_ub, b_ub, a_eq, b_eq)
-    witness = _witness_kernel(res.x[:nv].reshape(ny, nx), first.target, second.target)
+    a_ub = np.hstack([np.zeros((nt, nv)), np.tile(np.eye(nt), 2 * ny), -np.ones((nt, 1))])
+    c = np.zeros(a_eq.shape[1])
+    c[-1] = 1.0
+    res = _solve(c, a_eq, b_eq, a_ub, np.zeros(nt))
+    witness = _witness_kernel(res.x, first, second)
     delta = max(0.0, float(res.fun))
     gap = abs(worst_case_objective(first, second, witness) - delta)
     return DeficiencyResult(delta=delta, witness=witness, objective_gap=gap)

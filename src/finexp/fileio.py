@@ -56,11 +56,26 @@ def _space_ref(spaces: dict[str, FiniteSpace], name, context: str) -> FiniteSpac
     return spaces[name]
 
 
+def _section(doc: dict, key: str) -> dict:
+    table = doc.get(key, {})
+    if not isinstance(table, dict):
+        raise SchemaError(f"{key!r} must be a JSON object")
+    return table
+
+
+def _entries(doc: dict, key: str, what: str):
+    """(name, body) pairs of a section whose entries are JSON objects."""
+    for name, body in _section(doc, key).items():
+        if not isinstance(body, dict):
+            raise SchemaError(f"{what} {name!r} must be a JSON object, got {type(body).__name__}")
+        yield name, body
+
+
 def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> ExperimentFile:
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
     out = ExperimentFile()
-    for name, labels in dict(doc.get("spaces", {})).items():
+    for name, labels in _section(doc, "spaces").items():
         try:
             space = FiniteSpace(tuple(labels))
         except (TypeError, ValueError) as err:
@@ -70,7 +85,7 @@ def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> Experimen
                 f"space {name!r} has {space.size} labels, above the cap of {max_dim}"
             )
         out.spaces[name] = space
-    for name, body in dict(doc.get("distributions", {})).items():
+    for name, body in _entries(doc, "distributions", "distribution"):
         try:
             space = _space_ref(out.spaces, body.get("space"), f"distribution {name!r}")
             out.distributions[name] = Distribution(space, np.asarray(body["mass"], dtype=float))
@@ -78,7 +93,7 @@ def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> Experimen
             raise
         except (TypeError, ValueError, KeyError) as err:
             raise SchemaError(f"distribution {name!r}: {err}") from None
-    for name, body in dict(doc.get("kernels", {})).items():
+    for name, body in _entries(doc, "kernels", "kernel"):
         try:
             source = _space_ref(out.spaces, body.get("from"), f"kernel {name!r}")
             target = _space_ref(out.spaces, body.get("to"), f"kernel {name!r}")
@@ -87,7 +102,7 @@ def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> Experimen
             raise
         except (TypeError, ValueError, KeyError) as err:
             raise SchemaError(f"kernel {name!r}: {err}") from None
-    for name, body in dict(doc.get("losses", {})).items():
+    for name, body in _entries(doc, "losses", "loss"):
         try:
             theta = _space_ref(out.spaces, body.get("theta"), f"loss {name!r}")
             actions = _space_ref(out.spaces, body.get("actions"), f"loss {name!r}")

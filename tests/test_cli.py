@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from finexp.cli import main
+import finexp.deficiency
+from finexp.cli import EXIT_SOLVER_FAULT, main
+from finexp.deficiency import SolverError
 
 SAMPLE = {
     "spaces": {
@@ -65,6 +68,15 @@ class TestValue:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_bare_list_distribution_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"distributions": {"u": [0.5, 0.5]}}))
+        code = main(["value", str(path), "--experiment", "k", "--prior", "u", "--loss", "l"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: distribution 'u'")
+        assert "Traceback" not in err
+
     def test_space_mismatch_exits_3(self, capsys, sample_file):
         code = main(["value", sample_file, "--experiment", "bsc", "--prior", "uniform", "--loss", "mismatched"])
         assert code == 3
@@ -89,6 +101,31 @@ class TestDeficiency:
         assert code == 0
         assert out["delta"] == pytest.approx(1.0, abs=1e-7)
         assert len(out["witness"]) == 2  # rows = outputs of the simulated kernel
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6", "abc"])
+    def test_bad_factor_tol_exits_2(self, capsys, sample_file, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["deficiency", sample_file, "bsc", "bsc", "--prior", "uniform", f"--factor-tol={tol}"])
+        assert exc.value.code == 2
+        assert "--factor-tol" in capsys.readouterr().err
+
+    def test_zero_factor_tol_accepted(self, capsys, sample_file):
+        code, out = run(capsys, ["deficiency", sample_file, "ident", "ident", "--sup", "--factor-tol", "0"])
+        assert code == 0
+        assert out["factors_through"] is True
+
+    @pytest.mark.parametrize("variant", [["--prior", "uniform"], ["--sup"]])
+    def test_solver_fault_exits_4(self, capsys, monkeypatch, sample_file, variant):
+        def failing(*args, **kwargs):
+            return SimpleNamespace(status=4, message="numerical difficulties", x=None, fun=None)
+
+        monkeypatch.setattr(finexp.deficiency, "linprog", failing)
+        code = main(["deficiency", sample_file, "bsc", "ident", *variant])
+        assert code == EXIT_SOLVER_FAULT == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver fault: internal LP failure (status 4)")
+        assert issubclass(SolverError, RuntimeError)
 
     def test_prior_and_sup_exclusive(self, sample_file):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from finexp.decisions import bayes_decision_rule, bayes_risk, value
 from finexp.deficiency import (
@@ -219,3 +220,66 @@ class TestRandomizationBound:
             for _ in range(8):
                 loss = random_loss(rng, theta, FiniteSpace.of_size(int(rng.integers(2, 4)), "a"))
                 assert value(loss, pi, t) <= value(loss, pi, u) + delta * loss.sup_norm + 1e-6
+
+
+def reference_delta(first, second, prior=None):
+    """The dense inequality-form LP: -s <= U - V T <= s, columns of V sum to 1.
+
+    Solves the weighted program for a prior and the worst-case program
+    (one extra bound t on every per-hypothesis sum of s) without one.
+    """
+    nx, ny, nt = first.target.size, second.target.size, first.source.size
+    nv, ns = ny * nx, ny * nt
+    block = np.kron(np.eye(ny), first.matrix.T)
+    a_res = np.block([[-block, -np.eye(ns)], [block, -np.eye(ns)]])
+    u = second.matrix.reshape(-1)
+    b_res = np.concatenate([-u, u])
+    extra = 0 if prior is not None else 1
+    a_eq = np.hstack([np.kron(np.ones((1, ny)), np.eye(nx)), np.zeros((nx, ns + extra))])
+    if prior is not None:
+        c = np.concatenate([np.zeros(nv), np.tile(prior.mass, ny)])
+        a_ub, b_ub = a_res, b_res
+    else:
+        c = np.concatenate([np.zeros(nv + ns), [1.0]])
+        a_top = np.hstack([np.zeros((nt, nv)), np.kron(np.ones((1, ny)), np.eye(nt)), -np.ones((nt, 1))])
+        a_ub = np.vstack([np.hstack([a_res, np.zeros((2 * ns, 1))]), a_top])
+        b_ub = np.concatenate([b_res, np.zeros(nt)])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(nx), bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def reference_cases():
+    """Seeded rectangular instances with sizes in 2..8, plus two edge cases."""
+    cases = [
+        (t, u, random_distribution(rng, theta))
+        for rng, theta, t, u in rng_instances(13, 30, (2, 8), (2, 8), (2, 8))
+    ]
+    rng = np.random.default_rng(14)
+    theta = FiniteSpace.of_size(5, "t")
+    t = random_kernel(rng, theta, FiniteSpace.of_size(6, "x"))
+    u = random_kernel(rng, theta, FiniteSpace.of_size(4, "y"))
+    cases.append((t, u, Distribution(theta, [0.3, 0.0, 0.2, 0.4, 0.1])))
+    # a garbling of t: delta is zero up to solver tolerance
+    garbled = compose(random_kernel(rng, t.target, FiniteSpace.of_size(3, "z")), t)
+    cases.append((t, garbled, random_distribution(rng, theta)))
+    return cases
+
+
+class TestMatchesInequalityReference:
+    @pytest.mark.parametrize("variant", ["weighted", "sup"])
+    def test_seeded_sweep(self, variant):
+        deltas = []
+        for t, u, pi in reference_cases():
+            if variant == "weighted":
+                res, ref = weighted_directed_deficiency(t, u, pi), reference_delta(t, u, pi)
+            else:
+                res, ref = directed_deficiency(t, u), reference_delta(t, u)
+            assert abs(res.delta - max(0.0, ref)) <= 1e-9
+            np.testing.assert_allclose(res.witness.matrix.sum(axis=0), 1.0, atol=1e-12)
+            assert np.all(res.witness.matrix >= 0)
+            assert res.objective_gap <= 1e-9
+            deltas.append(res.delta)
+        assert deltas[-1] <= 1e-9  # the garbled pair
+        assert min(deltas[:-1]) > 1e-3  # the random pairs are far from factoring
+

@@ -57,6 +57,20 @@ class TestLoad:
             experiment_from_dict(doc)
         experiment_from_dict(doc, max_dim=64)
 
+    @pytest.mark.parametrize("section", ["distributions", "kernels", "losses"])
+    def test_entry_must_be_object(self, section):
+        doc = json.loads(json.dumps(SAMPLE))
+        doc[section]["bare"] = [0.5, 0.5]
+        with pytest.raises(SchemaError, match="'bare' must be a JSON object"):
+            experiment_from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["spaces", "distributions", "kernels", "losses"])
+    def test_section_must_be_object(self, section):
+        doc = json.loads(json.dumps(SAMPLE))
+        doc[section] = [["bare", [0.5, 0.5]]]
+        with pytest.raises(SchemaError, match=section):
+            experiment_from_dict(doc)
+
     def test_unknown_name_lookup(self):
         ef = experiment_from_dict(SAMPLE)
         with pytest.raises(SchemaError, match="unknown kernel"):
