@@ -40,7 +40,7 @@ def _matrix(kernel: MarkovKernel) -> list[list[float]]:
     return [[float(v) for v in row] for row in kernel.matrix]
 
 
-def _tolerance(text: str) -> float:
+def _finite_nonnegative(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -48,6 +48,17 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _check_code_sizes(args, flag: str, sizes: list[int]) -> None:
+    """Code sizes share the file spaces' label cap unless --allow-large lifts it."""
+    if args.allow_large:
+        return
+    for k in sizes:
+        if k > DEFAULT_MAX_DIM:
+            raise SchemaError(
+                f"{flag} {k} exceeds the cap of {DEFAULT_MAX_DIM}; pass --allow-large to lift it"
+            )
 
 
 def _load(args) -> ExperimentFile:
@@ -99,6 +110,7 @@ def _cmd_deficiency(args) -> int:
 
 
 def _cmd_autoencode(args) -> int:
+    _check_code_sizes(args, "--latent", [args.latent])
     ef = _load(args)
     prior = ef.distribution(args.prior)
     res = autoencode(
@@ -118,9 +130,10 @@ def _cmd_autoencode(args) -> int:
 
 
 def _cmd_stack(args) -> int:
+    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    _check_code_sizes(args, "--sizes", sizes)
     ef = _load(args)
     prior = ef.distribution(args.prior)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     chain = stack(prior, sizes, max_iters=args.iters, restarts=args.restarts, seed=args.seed)
     bound = float(sum(chain.layer_quality))
     _emit(
@@ -136,6 +149,7 @@ def _cmd_stack(args) -> int:
 
 
 def _cmd_ib(args) -> int:
+    _check_code_sizes(args, "--latent", [args.latent])
     ef = _load(args)
     experiment = ef.kernel(args.experiment)
     prior = ef.distribution(args.prior)
@@ -162,8 +176,8 @@ def _cmd_ib(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_dim > 32:
-        raise SchemaError(f"--max-dim {args.max_dim} exceeds the cap of 32")
+    if args.max_dim > DEFAULT_MAX_DIM:
+        raise SchemaError(f"--max-dim {args.max_dim} exceeds the cap of {DEFAULT_MAX_DIM}")
     if args.suite == "all":
         reports = run_all(trials=args.trials, seed=args.seed, max_dim=args.max_dim)
     else:
@@ -188,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_file(p):
         p.add_argument("file", help="experiment JSON file")
-        p.add_argument("--allow-large", action="store_true", help="lift the 32-label space cap")
+        p.add_argument(
+            "--allow-large", action="store_true", help="lift the 32-label cap on spaces and code sizes"
+        )
 
     p = sub.add_parser("value", help="Bayes value and rule of a learning problem")
     add_file(p)
@@ -204,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prior", help="distribution name for the weighted variant")
     group.add_argument("--sup", action="store_true", help="worst case over priors")
-    p.add_argument("--factor-tol", type=_tolerance, default=1e-6, help="factorization tolerance")
+    p.add_argument("--factor-tol", type=_finite_nonnegative, default=1e-6, help="factorization tolerance")
     p.set_defaults(func=_cmd_deficiency)
 
     p = sub.add_parser("autoencode", help="train a discrete autoencoder on a prior")
@@ -231,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", required=True)
     p.add_argument("--loss", required=True)
     p.add_argument("--latent", type=int, required=True)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--beta", type=_finite_nonnegative, default=0.0)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_ib)

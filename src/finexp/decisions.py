@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .kernels import (
     Distribution,
@@ -153,9 +152,26 @@ def information_gap(loss: LossMatrix, prior: Distribution, experiment: MarkovKer
     return _min_expected_loss(loss, prior.mass) - value(loss, prior, experiment)
 
 
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise x * ln(y), with 0 * ln(y) = 0 even where y is 0.
+
+    Takes the C library's logarithm, as scipy.special.xlogy does: numpy's
+    vectorized log may differ from it in the last bit depending on the CPU's
+    instruction set, which would make printed results machine-dependent.  The
+    result has a ufunc's memory layout (that of ``x * y``), which fixes the
+    order in which a later ``.sum()`` adds the terms.
+    """
+    out = np.zeros_like(x * y)
+    x, y = np.broadcast_arrays(x, y)
+    support = x != 0
+    logs = [math.log(v) if v > 0 else -math.inf for v in y[support].tolist()]
+    out[support] = x[support] * np.array(logs)
+    return out
+
+
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
-    return float(-xlogy(dist.mass, dist.mass).sum() / _LN2)
+    return float(-_xlogy(dist.mass, dist.mass).sum() / _LN2)
 
 
 def conditional_entropy(prior: Distribution, encoder: MarkovKernel) -> float:
@@ -164,7 +180,7 @@ def conditional_entropy(prior: Distribution, encoder: MarkovKernel) -> float:
         raise _mismatch("conditional_entropy", encoder.source, prior.space)
     jm = encoder.matrix * prior.mass[None, :]
     pz = jm.sum(axis=1)
-    return float((xlogy(jm, pz[:, None]).sum() - xlogy(jm, jm).sum()) / _LN2)
+    return float((_xlogy(jm, pz[:, None]).sum() - _xlogy(jm, jm).sum()) / _LN2)
 
 
 def mutual_information(prior: Distribution, encoder: MarkovKernel) -> float:
@@ -174,7 +190,7 @@ def mutual_information(prior: Distribution, encoder: MarkovKernel) -> float:
     jm = encoder.matrix * prior.mass[None, :]
     pz = jm.sum(axis=1)
     ref = pz[:, None] * prior.mass[None, :]
-    return float((xlogy(jm, jm).sum() - xlogy(jm, ref).sum()) / _LN2)
+    return float((_xlogy(jm, jm).sum() - _xlogy(jm, ref).sum()) / _LN2)
 
 
 def kl_divergence_bits(p: np.ndarray, q: np.ndarray) -> float:

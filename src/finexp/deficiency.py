@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .kernels import Distribution, MarkovKernel, _mismatch
 
@@ -73,6 +72,9 @@ def _check_pair(first: MarkovKernel, second: MarkovKernel) -> None:
 
 
 def _solve(c, a_eq, b_eq, a_ub=None, b_ub=None):
+    # imported here so that only LP solves pay for loading scipy
+    from scipy.optimize import linprog
+
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         # the feasible set is a nonempty polytope by construction, so any

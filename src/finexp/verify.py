@@ -64,9 +64,8 @@ class SuiteReport:
         }
 
 
-def _space_sizes(rng: np.random.Generator, max_dim: int, n: int, low: int = 2) -> list[int]:
-    hi = max(low, max_dim)
-    return [int(rng.integers(low, hi + 1)) for _ in range(n)]
+def _space_sizes(rng: np.random.Generator, max_dim: int, n: int) -> list[int]:
+    return [int(rng.integers(2, max_dim + 1)) for _ in range(n)]
 
 
 def _problem(rng, max_dim, n_outputs=1):
@@ -181,7 +180,7 @@ def suite_quality_certificate(rng, trials, max_dim, problems_per_encoder: int = 
 def suite_stacking(rng, trials, max_dim) -> Iterable[Check]:
     """Composed reconstruction quality is bounded by the sum over layers."""
     for i in range(trials):
-        n = int(rng.integers(3, max_dim + 1))
+        n = int(rng.integers(3, max(3, max_dim) + 1))
         prior = random_distribution(rng, FiniteSpace.of_size(n, "x"))
         k1 = int(rng.integers(2, n + 1))
         k2 = int(rng.integers(1, k1 + 1))
@@ -342,6 +341,8 @@ def run_suite(name: str, trials: int = 100, seed: int = 0, max_dim: int = 6) -> 
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if max_dim < 2:
+        raise ValueError(f"max_dim must be at least 2, got {max_dim}")
     rng = np.random.default_rng([seed, _SUITE_SALT[name]])
     checks = list(SUITES[name](rng, trials, max_dim))
     failures = sum(not c.passed for c in checks)

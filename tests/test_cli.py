@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import finexp.deficiency
 from finexp.cli import EXIT_SOLVER_FAULT, main
 from finexp.deficiency import SolverError
+from finexp.verify import SUITES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SAMPLE = {
     "spaces": {
@@ -119,7 +125,7 @@ class TestDeficiency:
         def failing(*args, **kwargs):
             return SimpleNamespace(status=4, message="numerical difficulties", x=None, fun=None)
 
-        monkeypatch.setattr(finexp.deficiency, "linprog", failing)
+        monkeypatch.setattr("scipy.optimize.linprog", failing)
         code = main(["deficiency", sample_file, "bsc", "ident", *variant])
         assert code == EXIT_SOLVER_FAULT == 4
         captured = capsys.readouterr()
@@ -144,6 +150,11 @@ class TestAutoencode:
         assert out["epsilon"] == pytest.approx(1.0, abs=1e-12)
         assert out["trace"] == sorted(out["trace"])
 
+    def test_latent_above_cap_exits_2(self, capsys, sample_file):
+        code = main(["autoencode", sample_file, "--prior", "uniform4", "--latent", "33"])
+        assert code == 2
+        assert "--latent 33 exceeds the cap of 32" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, capsys, sample_file):
         argv = ["autoencode", sample_file, "--prior", "uniform4", "--latent", "2", "--seed", "7"]
         assert main(argv) == 0
@@ -159,6 +170,17 @@ class TestStack:
         assert out["layer_epsilon"][0] == pytest.approx(1.0, abs=1e-12)
         assert out["total_epsilon"] <= out["bound"] + 1e-6
         assert out["bound_holds"] is True
+
+    @pytest.mark.parametrize("sizes", ["4,10000000000", "33", "2,33,1"])
+    def test_size_above_cap_exits_2(self, capsys, sample_file, sizes):
+        code = main(["stack", sample_file, "--prior", "uniform4", "--sizes", sizes])
+        assert code == 2
+        assert "--sizes" in capsys.readouterr().err
+
+    def test_cap_checked_before_the_file_is_read(self, capsys, tmp_path):
+        code = main(["stack", str(tmp_path / "missing.json"), "--prior", "p", "--sizes", "4,10000000000"])
+        assert code == 2
+        assert "--sizes 10000000000 exceeds the cap of 32" in capsys.readouterr().err
 
 
 class TestIB:
@@ -182,6 +204,27 @@ class TestIB:
         assert code == 0
         assert out["mutual_information_bits"] <= 1e-3
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-0.5", "abc"])
+    def test_bad_beta_exits_2(self, capsys, sample_file, beta):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "ib", sample_file, "--experiment", "bsc", "--prior", "uniform",
+                    "--loss", "zero_one", "--latent", "2", f"--beta={beta}",
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--beta" in err
+        assert "Traceback" not in err
+
+    def test_latent_above_cap_exits_2(self, capsys, sample_file):
+        code = main(
+            ["ib", sample_file, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "33"]
+        )
+        assert code == 2
+        assert "--latent 33 exceeds the cap of 32" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -202,9 +245,58 @@ class TestVerify:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("max_dim", ["0", "1"])
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
+    def test_max_dim_below_two_exits_2(self, capsys, suite, max_dim):
+        code = main(["verify", "--suite", suite, "--trials", "1", "--max-dim", max_dim])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: max_dim must be at least 2, got {max_dim}\n"
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_max_dim_two_runs(self, capsys, suite):
+        code, out = run(capsys, ["verify", "--suite", suite, "--trials", "1", "--max-dim", "2"])
+        assert code == 0
+        assert out["all_pass"] is True
+
     def test_all_deterministic_bytes(self, capsys):
         argv = ["verify", "--suite", "all", "--trials", "2", "--seed", "3", "--max-dim", "3"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+IMPORT_PROBE = """
+import sys
+
+import finexp
+import finexp.cli
+
+sample = sys.argv[1]
+for argv in (
+    ["value", sample, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one"],
+    ["autoencode", sample, "--prior", "pixels", "--latent", "3", "--restarts", "2"],
+    ["stack", sample, "--prior", "pixels", "--sizes", "4,2", "--restarts", "2"],
+    ["ib", sample, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2"],
+):
+    assert finexp.cli.main(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, (argv[0], loaded)
+assert finexp.cli.main(["deficiency", sample, "bsc", "ident", "--sup"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_lp_solves_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(ROOT / "scripts" / "sample_experiment.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

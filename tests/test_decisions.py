@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from finexp.decisions import (
     LearningProblem,
     LossMatrix,
+    _xlogy,
     bayes_act,
     bayes_decision_rule,
     bayes_risk,
@@ -272,6 +273,57 @@ class TestEntropies:
         lhs = conditional_entropy(pi, enc)
         rhs = entropy(pi) - mutual_information(pi, enc)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    @staticmethod
+    def _sparse_instance(rng):
+        """Prior and encoder with exact zeros, including a code no input reaches."""
+        n, k = (int(v) for v in rng.integers(2, 9, size=2))
+        mass = rng.random(n) * (rng.random(n) < 0.7)
+        mass[rng.integers(n)] += 0.5
+        enc = rng.random((k + 1, n)) * (rng.random((k + 1, n)) < 0.6)
+        enc[k] = 0.0  # the last code is never used
+        enc[rng.integers(k, size=n), np.arange(n)] += 0.5
+        enc /= enc.sum(axis=0)
+        x = FiniteSpace.of_size(n)
+        pi = Distribution(x, mass / mass.sum())
+        return pi, MarkovKernel(x, FiniteSpace.of_size(k + 1, "z"), enc)
+
+    def test_agree_with_scipy_xlogy_on_zeros(self):
+        xlogy = pytest.importorskip("scipy.special").xlogy
+        ln2 = np.log(2.0)
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            pi, enc = self._sparse_instance(rng)
+            p = pi.mass
+            jm = enc.matrix * p[None, :]
+            pz = jm.sum(axis=1)
+            refs = {
+                "entropy": -xlogy(p, p).sum() / ln2,
+                "conditional": (xlogy(jm, pz[:, None]).sum() - xlogy(jm, jm).sum()) / ln2,
+                "mutual": (xlogy(jm, jm).sum() - xlogy(jm, pz[:, None] * p[None, :]).sum()) / ln2,
+            }
+            got = {
+                "entropy": entropy(pi),
+                "conditional": conditional_entropy(pi, enc),
+                "mutual": mutual_information(pi, enc),
+            }
+            for name, ref in refs.items():
+                assert np.isfinite(got[name]), name
+                assert abs(got[name] - ref) <= 1e-15, (name, got[name], ref)
+
+    def test_zero_mass_gives_exact_zero(self):
+        x = FiniteSpace.of_size(3)
+        point = Distribution(x, [0.0, 1.0, 0.0])
+        assert entropy(point) == 0.0
+        assert conditional_entropy(point, uninformative(x)) == 0.0
+        assert mutual_information(point, identity(x)) == 0.0
+
+    def test_xlogy_helper_edge_values(self):
+        xlogy = pytest.importorskip("scipy.special").xlogy
+        x = np.array([0.0, 0.0, 1.0, 0.5, 2.0])
+        y = np.array([0.0, 1.0, 0.0, 0.25, 3.0])
+        np.testing.assert_array_equal(_xlogy(x, y), xlogy(x, y))
+        assert _xlogy(x, y)[0] == 0.0
 
     def test_kl_infinite_off_support(self):
         assert kl_divergence_bits(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == np.inf
