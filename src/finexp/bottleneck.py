@@ -13,7 +13,7 @@ beta = 0 dynamics terminate at a finite fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .kernels import (
     Distribution,
     FiniteSpace,
     MarkovKernel,
+    _bayes_inverse_matrix,
+    _mismatch,
     bayes_inverse,
     pushforward,
 )
@@ -40,61 +42,80 @@ class IBState:
     objective_trace: tuple[float, ...] = ()
 
 
-def _regret_table(loss: LossMatrix, posteriors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Problem:
+    """The arrays every update reads, computed once per validated problem."""
+
+    loss: np.ndarray  # [theta, a]
+    posts: np.ndarray  # posterior of each input, [theta, x]
+    px: np.ndarray  # input marginal, [x]
+    exp_post: np.ndarray  # posterior expected loss of each action, [x, a]
+    best: np.ndarray  # Bayes loss at each posterior, [x]
+
+
+def _problem(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> _Problem:
+    posts = bayes_inverse(experiment, prior).matrix
+    if loss.theta != experiment.source:
+        raise _mismatch("bottleneck: loss hypotheses", experiment.source, loss.theta)
+    exp_post = posts.T @ loss.values
+    return _Problem(
+        loss.values, posts, pushforward(experiment, prior).mass, exp_post, exp_post.min(axis=1)
+    )
+
+
+def _regret_table(problem: _Problem, centroids: np.ndarray) -> np.ndarray:
     """Regret of acting for centroid z when the truth follows posterior x; shape [x, z]."""
-    exp_post = posteriors.T @ loss.values
-    acts = np.argmin(centroids.T @ loss.values, axis=1)
-    return exp_post[:, acts] - exp_post.min(axis=1)[:, None]
+    acts = np.argmin(centroids.T @ problem.loss, axis=1)
+    return problem.exp_post[:, acts] - problem.best[:, None]
 
 
-def _problem_views(loss, prior, experiment):
-    posts = bayes_inverse(experiment, prior)
-    px = pushforward(experiment, prior)
-    return posts, px
+def _distortion(problem: _Problem, enc: np.ndarray, centroids: np.ndarray) -> float:
+    table = _regret_table(problem, centroids)
+    return float(np.einsum("x,zx,xz->", problem.px, enc, table))
+
+
+def _objective(
+    problem: _Problem, enc: np.ndarray, centroids: np.ndarray, latent_prior: np.ndarray, beta: float
+) -> float:
+    """Regret term plus beta times the px-weighted KL(encoder column || latent prior).
+
+    The KL is in nats, which keeps the Gibbs encoder update the exact
+    minimizer of the penalized column subproblem.  It is +inf when an input
+    of positive mass puts mass on a code the reference prior gives zero.
+    """
+    distortion = _distortion(problem, enc, centroids)
+    if beta == 0:
+        return distortion
+    seen = problem.px > 0
+    cols = enc[:, seen]
+    used = cols > 0
+    if np.any(used & (latent_prior[:, None] <= 0)):
+        return math.inf
+    ratio = np.divide(cols, latent_prior[:, None], out=np.ones_like(cols), where=used)
+    kl = (cols * np.log(ratio)).sum(axis=0)
+    # the builtin sum adds left to right in input order; numpy's pairwise
+    # sum would move the last bit of objective traces that earlier versions printed
+    return distortion + beta * float(sum(problem.px[seen] * kl, 0.0))
 
 
 def ib_distortion(state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:
     """The regret part of the objective (the value lost to encoding at a fixed point)."""
-    posts, px = _problem_views(loss, prior, experiment)
-    table = _regret_table(loss, posts.matrix, state.centroid_posteriors.matrix)
-    return float(np.einsum("x,zx,xz->", px.mass, state.encoder.matrix, table))
-
-
-def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats; +inf when p puts mass where q has none.
-
-    Natural log keeps the Gibbs encoder update the exact minimizer of the
-    penalized column subproblem (the entropy utilities report bits, but the
-    objective must match its own coordinate updates).
-    """
-    support = p > 0
-    if np.any(q[support] <= 0):
-        return math.inf
-    ps = p[support]
-    return float(np.sum(ps * np.log(ps / q[support])))
+    problem = _problem(loss, prior, experiment)
+    return _distortion(problem, state.encoder.matrix, state.centroid_posteriors.matrix)
 
 
 def ib_objective(state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:
     """Regret term plus beta times the KL penalty; +inf on an infeasible reference prior."""
-    distortion = ib_distortion(state, loss, prior, experiment)
-    if state.beta == 0:
-        return distortion
-    px = pushforward(experiment, prior)
-    penalty = 0.0
-    for x in np.flatnonzero(px.mass > 0):
-        kl = _kl_nats(state.encoder.matrix[:, x], state.latent_prior.mass)
-        if math.isinf(kl):
-            return math.inf
-        penalty += px.mass[x] * kl
-    return distortion + state.beta * penalty
+    return _objective(
+        _problem(loss, prior, experiment),
+        state.encoder.matrix,
+        state.centroid_posteriors.matrix,
+        state.latent_prior.mass,
+        state.beta,
+    )
 
 
-def _centroids(
-    loss: LossMatrix,
-    posts: MarkovKernel,
-    px: Distribution,
-    encoder: MarkovKernel,
-) -> MarkovKernel:
+def centroid_step(problem: _Problem, enc: np.ndarray) -> np.ndarray:
     """Posterior-mean centroid per code; dead codes reseed to the worst-served input.
 
     A code with zero marginal mass contributes nothing to the objective, so
@@ -102,50 +123,42 @@ def _centroids(
     (in regret) from the live centroids gives the next assignment step an
     escape from poor local optima.
     """
-    enc_inv = bayes_inverse(encoder, px)
-    centroids = posts.matrix @ enc_inv.matrix
-    dead = enc_inv.filled_columns
+    enc_inv, dead = _bayes_inverse_matrix(enc, problem.px)
+    centroids = problem.posts @ enc_inv
     if dead:
         live = [z for z in range(centroids.shape[1]) if z not in dead]
-        table = _regret_table(loss, posts.matrix, centroids[:, live])
-        score = px.mass * table.min(axis=1)
+        table = _regret_table(problem, centroids[:, live])
+        score = problem.px * table.min(axis=1)
         for z in dead:
             worst = int(np.argmax(score))
-            centroids[:, z] = posts.matrix[:, worst]
+            centroids[:, z] = problem.posts[:, worst]
             score[worst] = -1.0
-    return MarkovKernel(encoder.target, posts.target, centroids)
+    return centroids
 
 
-def centroid_step(state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> IBState:
-    posts, px = _problem_views(loss, prior, experiment)
-    return replace(state, centroid_posteriors=_centroids(loss, posts, px, state.encoder))
+def latent_prior_step(problem: _Problem, enc: np.ndarray) -> np.ndarray:
+    """The reference code prior: the encoder's marginal."""
+    return enc @ problem.px
 
 
-def latent_prior_step(state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> IBState:
-    px = pushforward(experiment, prior)
-    return replace(state, latent_prior=pushforward(state.encoder, px))
-
-
-def encoder_step(state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> IBState:
-    posts, px = _problem_views(loss, prior, experiment)
-    table = _regret_table(loss, posts.matrix, state.centroid_posteriors.matrix)
-    k = state.centroid_posteriors.source.size
-    if state.beta == 0:
-        assign = np.argmin(table, axis=1)
-        enc = np.zeros((k, px.space.size))
-        enc[assign, np.arange(px.space.size)] = 1.0
-    else:
-        with np.errstate(divide="ignore"):
-            logw = np.log(state.latent_prior.mass)[None, :] - table / state.beta
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        enc = (w / w.sum(axis=1, keepdims=True)).T
-    return replace(state, encoder=MarkovKernel(px.space, state.encoder.target, enc))
-
-
-def _seed_assignment(
-    loss: LossMatrix, posts: np.ndarray, px: np.ndarray, k: int, rng: np.random.Generator
+def encoder_step(
+    problem: _Problem, centroids: np.ndarray, latent_prior: np.ndarray, beta: float
 ) -> np.ndarray:
+    """Gibbs encoder columns, or the argmin assignment at beta = 0."""
+    table = _regret_table(problem, centroids)
+    k, n = centroids.shape[1], problem.px.size
+    if beta == 0:
+        enc = np.zeros((k, n))
+        enc[np.argmin(table, axis=1), np.arange(n)] = 1.0
+        return enc
+    with np.errstate(divide="ignore"):
+        logw = np.log(latent_prior)[None, :] - table / beta
+    logw -= logw.max(axis=1, keepdims=True)
+    w = np.exp(logw)
+    return (w / w.sum(axis=1, keepdims=True)).T
+
+
+def _seed_assignment(problem: _Problem, k: int, rng: np.random.Generator) -> np.ndarray:
     """Farthest-point seeding over posterior columns under regret.
 
     Greedily picks code representatives until every supported input sits at
@@ -153,15 +166,16 @@ def _seed_assignment(
     its nearest seed.  With k at least the number of distinct posteriors
     this starts the beta = 0 dynamics at zero distortion.
     """
-    support = np.flatnonzero(px > 0)
+    posts = problem.posts
+    support = np.flatnonzero(problem.px > 0)
     seeds = [int(rng.choice(support))]
     while len(seeds) < k:
-        table = _regret_table(loss, posts, posts[:, seeds])
+        table = _regret_table(problem, posts[:, seeds])
         nearest = table[support].min(axis=1)
         if nearest.max() <= 1e-15:
             break
         seeds.append(int(support[np.argmax(nearest)]))
-    table = _regret_table(loss, posts, posts[:, seeds])
+    table = _regret_table(problem, posts[:, seeds])
     return np.argmin(table, axis=1)
 
 
@@ -174,34 +188,41 @@ def ib_learn(
     max_iters: int = 200,
     seed: int = 0,
 ) -> IBState:
-    """Alternate centroid, reference-prior and encoder updates until the objective stalls."""
+    """Alternate centroid, reference-prior and encoder updates until the objective stalls.
+
+    Inputs are validated here, once; the loop runs on plain arrays, and the
+    result is wrapped into kernels and a distribution on return.
+    """
     if latent_size < 1:
         raise ValueError("latent_size must be at least 1")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    beta = float(beta)
     rng = np.random.default_rng(seed)
-    posts, px = _problem_views(loss, prior, experiment)
-    latent = FiniteSpace.of_size(latent_size, prefix="z")
+    problem = _problem(loss, prior, experiment)
 
-    assign = _seed_assignment(loss, posts.matrix, px.mass, latent_size, rng)
-    enc = np.zeros((latent_size, px.space.size))
-    enc[assign, np.arange(px.space.size)] = 1.0
-    encoder = MarkovKernel(px.space, latent, enc)
-
-    state = IBState(
-        encoder=encoder,
-        centroid_posteriors=_centroids(loss, posts, px, encoder),
-        latent_prior=pushforward(encoder, px),
-        beta=float(beta),
-    )
-    trace = [ib_objective(state, loss, prior, experiment)]
+    assign = _seed_assignment(problem, latent_size, rng)
+    enc = np.zeros((latent_size, problem.px.size))
+    enc[assign, np.arange(problem.px.size)] = 1.0
+    centroids = centroid_step(problem, enc)
+    latent_prior = latent_prior_step(problem, enc)
+    trace = [_objective(problem, enc, centroids, latent_prior, beta)]
     for _ in range(max_iters):
-        state = centroid_step(state, loss, prior, experiment)
-        state = latent_prior_step(state, loss, prior, experiment)
-        state = encoder_step(state, loss, prior, experiment)
-        trace.append(ib_objective(state, loss, prior, experiment))
-        if trace[-2] - trace[-1] < _CONVERGENCE_TOL:
+        centroids = centroid_step(problem, enc)
+        latent_prior = latent_prior_step(problem, enc)
+        enc = encoder_step(problem, centroids, latent_prior, beta)
+        trace.append(_objective(problem, enc, centroids, latent_prior, beta))
+        # "not >=" also stops on a NaN objective; the kernel check on return
+        # then rejects the encoder
+        if not trace[-2] - trace[-1] >= _CONVERGENCE_TOL:
             break
-    return replace(state, objective_trace=tuple(trace))
+    latent = FiniteSpace.of_size(latent_size, prefix="z")
+    return IBState(
+        encoder=MarkovKernel(experiment.target, latent, enc),
+        centroid_posteriors=MarkovKernel(latent, experiment.source, centroids),
+        latent_prior=Distribution(latent, latent_prior),
+        beta=beta,
+        objective_trace=tuple(trace),
+    )

@@ -21,7 +21,6 @@ from .kernels import (
     _mismatch,
     bayes_inverse,
     compose,
-    pushforward,
 )
 
 _LN2 = math.log(2.0)
@@ -51,27 +50,6 @@ class LossMatrix:
 def zero_one_loss(space: FiniteSpace) -> LossMatrix:
     """Misclassification loss with actions identified with hypotheses."""
     return LossMatrix(space, space, 1.0 - np.eye(space.size))
-
-
-@dataclass(frozen=True, eq=False)
-class LearningProblem:
-    """Hypotheses, data, an experiment connecting them, a loss and a prior."""
-
-    theta: FiniteSpace
-    data_space: FiniteSpace
-    experiment: MarkovKernel
-    loss: LossMatrix
-    prior: Distribution
-
-    def __post_init__(self) -> None:
-        if self.experiment.source != self.theta:
-            raise _mismatch("problem: experiment input", self.theta, self.experiment.source)
-        if self.experiment.target != self.data_space:
-            raise _mismatch("problem: experiment output", self.data_space, self.experiment.target)
-        if self.loss.theta != self.theta:
-            raise _mismatch("problem: loss hypotheses", self.theta, self.loss.theta)
-        if self.prior.space != self.theta:
-            raise _mismatch("problem: prior", self.theta, self.prior.space)
 
 
 def _min_expected_loss(loss: LossMatrix, mass: np.ndarray) -> float:
@@ -189,16 +167,9 @@ def mutual_information(prior: Distribution, encoder: MarkovKernel) -> float:
         raise _mismatch("mutual_information", encoder.source, prior.space)
     jm = encoder.matrix * prior.mass[None, :]
     pz = jm.sum(axis=1)
-    ref = pz[:, None] * prior.mass[None, :]
-    return float((_xlogy(jm, jm).sum() - _xlogy(jm, ref).sum()) / _LN2)
-
-
-def kl_divergence_bits(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in bits; +inf when p puts mass where q has none."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    support = p > 0
-    if np.any(q[support] <= 0):
-        return math.inf
-    ps = p[support]
-    return float(np.sum(ps * np.log2(ps / q[support])))
+    # ln jm - ln pz - ln prior term by term: the product pz * prior may
+    # underflow to 0 where jm does not
+    nats = (
+        _xlogy(jm, jm).sum() - _xlogy(jm, pz[:, None]).sum() - _xlogy(jm, prior.mass[None, :]).sum()
+    )
+    return float(nats / _LN2)

@@ -43,15 +43,6 @@ class DeficiencyResult:
     objective_gap: float
 
 
-@dataclass(frozen=True, eq=False)
-class FactorResult:
-    """Outcome of an exact-factorization test at a tolerance."""
-
-    factors: bool
-    delta: float
-    witness: MarkovKernel | None
-
-
 def weighted_objective(
     first: MarkovKernel, second: MarkovKernel, prior: Distribution, v: MarkovKernel
 ) -> float:
@@ -155,21 +146,3 @@ def weighted_deficiency(first: MarkovKernel, second: MarkovKernel, prior: Distri
     d12 = weighted_directed_deficiency(first, second, prior).delta
     d21 = weighted_directed_deficiency(second, first, prior).delta
     return max(d12, d21)
-
-
-def factors_through(
-    first: MarkovKernel,
-    second: MarkovKernel,
-    prior: Distribution,
-    tol: float = 1e-6,
-) -> FactorResult:
-    """Does ``second`` equal some post-processing of ``first``?
-
-    Needs a strictly positive prior: a zero-mass hypothesis would let the
-    test ignore mismatches on it.
-    """
-    if np.any(prior.mass <= 0):
-        raise ValueError("factors_through needs a strictly positive prior")
-    res = weighted_directed_deficiency(first, second, prior)
-    ok = res.delta <= tol
-    return FactorResult(factors=ok, delta=res.delta, witness=res.witness if ok else None)

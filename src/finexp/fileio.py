@@ -76,9 +76,11 @@ def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> Experimen
         raise SchemaError("top level must be a JSON object")
     out = ExperimentFile()
     for name, labels in _section(doc, "spaces").items():
+        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+            raise SchemaError(f"space {name!r} must be a JSON array of strings")
         try:
             space = FiniteSpace(tuple(labels))
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             raise SchemaError(f"space {name!r}: {err}") from None
         if space.size > max_dim:
             raise SchemaError(
@@ -151,6 +153,8 @@ def load_experiment(path: str | Path, max_dim: int = DEFAULT_MAX_DIM) -> Experim
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         raise SchemaError(f"cannot read experiment file {path}: {err}") from None
+    except RecursionError:
+        raise SchemaError(f"cannot read experiment file {path}: JSON nested too deeply") from None
     return experiment_from_dict(doc, max_dim=max_dim)
 
 

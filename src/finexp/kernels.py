@@ -147,33 +147,6 @@ class MarkovKernel:
         return Distribution(self.target, self.matrix[:, x])
 
 
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Joint probability matrix over a pair of spaces; entry [x, theta] = P(x, theta)."""
-
-    over: tuple[FiniteSpace, FiniteSpace]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        theta, out = self.over
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (out.size, theta.size):
-            raise ValueError(
-                f"joint over {theta.labels} x {out.labels} needs shape "
-                f"({out.size}, {theta.size}), got {m.shape}"
-            )
-        if not np.all(np.isfinite(m)) or np.any(m < 0):
-            raise ValueError("joint entries must be finite and nonnegative")
-        total = m.sum()
-        off = abs(total - 1.0)
-        if off > STOCHASTIC_ATOL:
-            raise ValueError(f"joint mass sums to {total!r}, outside tolerance of 1")
-        if off > _RENORM_FLOOR:
-            m /= total
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def identity(space: FiniteSpace) -> MarkovKernel:
     return MarkovKernel(space, space, np.eye(space.size))
 
@@ -215,11 +188,18 @@ def pushforward(kernel: MarkovKernel, dist: Distribution) -> Distribution:
     return Distribution(kernel.target, kernel.matrix @ dist.mass)
 
 
-def joint(kernel: MarkovKernel, prior: Distribution) -> JointDistribution:
-    """Joint distribution of (input, output): the kernel scaled column-wise by the prior."""
-    if prior.space != kernel.source:
-        raise _mismatch("joint", kernel.source, prior.space)
-    return JointDistribution((kernel.source, kernel.target), kernel.matrix * prior.mass[None, :])
+def _bayes_inverse_matrix(matrix: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Posterior matrix of a column-stochastic ``matrix`` under input masses ``mass``.
+
+    Column x is row x of the joint divided by its marginal; a column whose
+    marginal is 0 is uniform and its index is returned in the tuple.
+    """
+    jm = matrix * mass[None, :]
+    marginal = jm.sum(axis=1)
+    filled = ~(marginal > 0)
+    post = np.full((mass.size, marginal.size), 1.0 / mass.size)
+    np.divide(jm.T, marginal, out=post, where=~filled)
+    return post, tuple(np.flatnonzero(filled).tolist())
 
 
 def bayes_inverse(kernel: MarkovKernel, prior: Distribution) -> MarkovKernel:
@@ -232,18 +212,8 @@ def bayes_inverse(kernel: MarkovKernel, prior: Distribution) -> MarkovKernel:
     """
     if prior.space != kernel.source:
         raise _mismatch("bayes_inverse", kernel.source, prior.space)
-    jm = kernel.matrix * prior.mass[None, :]
-    marginal = jm.sum(axis=1)
-    n_in = kernel.source.size
-    post = np.empty((n_in, kernel.target.size))
-    filled = []
-    for x in range(kernel.target.size):
-        if marginal[x] > 0:
-            post[:, x] = jm[x, :] / marginal[x]
-        else:
-            post[:, x] = 1.0 / n_in
-            filled.append(x)
-    return MarkovKernel(kernel.target, kernel.source, post, filled_columns=tuple(filled))
+    post, filled = _bayes_inverse_matrix(kernel.matrix, prior.mass)
+    return MarkovKernel(kernel.target, kernel.source, post, filled_columns=filled)
 
 
 def variational_divergence(p: Distribution, q: Distribution) -> float:

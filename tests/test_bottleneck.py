@@ -5,6 +5,8 @@ import pytest
 
 from finexp.bottleneck import (
     IBState,
+    _objective,
+    _problem,
     _regret_table,
     centroid_step,
     encoder_step,
@@ -24,6 +26,7 @@ from finexp.kernels import (
     Distribution,
     FiniteSpace,
     MarkovKernel,
+    SpaceMismatchError,
     bayes_inverse,
     pushforward,
     uniform,
@@ -114,6 +117,23 @@ class TestObjective:
         )
         assert ib_objective(state, loss, pi, exp) == np.inf
 
+    def test_penalty_ignores_inputs_of_zero_mass(self):
+        # only inputs of positive mass pay for codes the reference prior lacks
+        theta = FiniteSpace.of_size(2, "t")
+        x = FiniteSpace.of_size(3, "x")
+        exp = MarkovKernel(theta, x, [[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
+        pi = uniform(theta)
+        loss = zero_one_loss(theta)
+        z = FiniteSpace.of_size(2, "z")
+        centroids = MarkovKernel(z, theta, np.full((2, 2), 0.5))
+        prior = Distribution(z, [1.0, 0.0])
+        on_dead_input = MarkovKernel(x, z, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        on_live_input = MarkovKernel(x, z, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        state = IBState(encoder=on_dead_input, centroid_posteriors=centroids, latent_prior=prior, beta=1.0)
+        assert ib_objective(state, loss, pi, exp) == ib_distortion(state, loss, pi, exp)
+        state = IBState(encoder=on_live_input, centroid_posteriors=centroids, latent_prior=prior, beta=1.0)
+        assert ib_objective(state, loss, pi, exp) == np.inf
+
 
 class TestSteps:
     def test_each_step_never_increases(self):
@@ -123,12 +143,16 @@ class TestSteps:
             loss, pi, exp = random_problem(rng)
             beta = 0.0 if t % 2 == 0 else float(10 ** rng.uniform(-2, 1))
             state = ib_learn(loss, pi, exp, latent_size=2, beta=beta, max_iters=2, seed=t)
-            obj = ib_objective(state, loss, pi, exp)
-            for step in (centroid_step, latent_prior_step, encoder_step):
-                state = step(state, loss, pi, exp)
-                after = ib_objective(state, loss, pi, exp)
-                worst = max(worst, after - obj)
-                obj = after
+            problem = _problem(loss, pi, exp)
+            enc, cents, q = state.encoder.matrix, state.centroid_posteriors.matrix, state.latent_prior.mass
+            objs = [_objective(problem, enc, cents, q, beta)]
+            cents = centroid_step(problem, enc)
+            objs.append(_objective(problem, enc, cents, q, beta))
+            q = latent_prior_step(problem, enc)
+            objs.append(_objective(problem, enc, cents, q, beta))
+            enc = encoder_step(problem, cents, q, beta)
+            objs.append(_objective(problem, enc, cents, q, beta))
+            worst = max(worst, np.diff(objs).max())
         assert worst <= 1e-9
 
     def test_fixed_point_consistency(self):
@@ -139,27 +163,23 @@ class TestSteps:
         for t in range(20):
             loss, pi, exp = random_problem(rng)
             state = ib_learn(loss, pi, exp, latent_size=3, beta=0.5, max_iters=500, seed=t)
+            problem = _problem(loss, pi, exp)
+            enc = state.encoder.matrix
             for _ in range(5000):
-                before = state.encoder.matrix
-                state = encoder_step(
-                    latent_prior_step(centroid_step(state, loss, pi, exp), loss, pi, exp),
-                    loss,
-                    pi,
-                    exp,
-                )
-                if np.abs(state.encoder.matrix - before).max() < 1e-13:
+                before = enc
+                centroids = centroid_step(problem, enc)
+                latent_prior = latent_prior_step(problem, enc)
+                enc = encoder_step(problem, centroids, latent_prior, 0.5)
+                if np.abs(enc - before).max() < 1e-13:
                     break
+            encoder = MarkovKernel(exp.target, state.encoder.target, enc)
             px = pushforward(exp, pi)
-            np.testing.assert_allclose(
-                state.latent_prior.mass, pushforward(state.encoder, px).mass, atol=1e-9
-            )
+            np.testing.assert_allclose(latent_prior, pushforward(encoder, px).mass, atol=1e-9)
             posts = bayes_inverse(exp, pi)
-            inv = bayes_inverse(state.encoder, px)
+            inv = bayes_inverse(encoder, px)
             means = posts.matrix @ inv.matrix
             live = [z for z in range(3) if z not in inv.filled_columns]
-            np.testing.assert_allclose(
-                state.centroid_posteriors.matrix[:, live], means[:, live], atol=1e-9
-            )
+            np.testing.assert_allclose(centroids[:, live], means[:, live], atol=1e-9)
 
 
 class TestLearn:
@@ -212,7 +232,7 @@ class TestLearn:
                     w = px.mass[members]
                     if w.sum() > 0:
                         cents[:, zz] = posts.matrix[:, members] @ w / w.sum()
-                table = _regret_table(loss, posts.matrix, cents)
+                table = _regret_table(_problem(loss, pi, exp), cents)
                 best = min(best, float(np.sum(px.mass * table[np.arange(nx), a])))
             assert got == pytest.approx(best, abs=1e-9)
 
@@ -231,3 +251,28 @@ class TestLearn:
             ib_learn(loss, pi, exp, latent_size=0)
         with pytest.raises(ValueError):
             ib_learn(loss, pi, exp, latent_size=2, beta=-1.0)
+
+    def test_validates_once(self, monkeypatch):
+        # kernels are built at the boundary and on return, never per iteration
+        built = []
+        post_init = MarkovKernel.__post_init__
+
+        def counted(kernel):
+            built.append(kernel)
+            post_init(kernel)
+
+        monkeypatch.setattr(MarkovKernel, "__post_init__", counted)
+        loss, pi, exp = random_problem(np.random.default_rng(7), nt=(4, 6), nx=(8, 12), na=(3, 5))
+        counts = {}
+        for iters in (1, 40):
+            built.clear()
+            state = ib_learn(loss, pi, exp, latent_size=4, beta=0.1, max_iters=iters)
+            counts[len(state.objective_trace) - 1] = len(built)
+        assert sorted(counts) == [1, 40]
+        assert counts[1] == counts[40]
+
+    def test_loss_over_other_hypotheses_is_a_mismatch(self):
+        loss, pi, exp = random_problem(np.random.default_rng(12), nt=(3, 3))
+        other = FiniteSpace.of_size(2, "u")
+        with pytest.raises(SpaceMismatchError, match="loss hypotheses"):
+            ib_learn(zero_one_loss(other), pi, exp, latent_size=2)

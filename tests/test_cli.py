@@ -83,6 +83,27 @@ class TestValue:
         assert err.startswith("input error: distribution 'u'")
         assert "Traceback" not in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code = main(["value", str(path), "--experiment", "k", "--prior", "u", "--loss", "l"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: cannot read experiment file")
+        assert "Traceback" not in captured.err
+
+    def test_space_given_as_string_exits_2(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(SAMPLE))
+        doc["spaces"]["Theta"] = "hx"
+        path = tmp_path / "string_space.json"
+        path.write_text(json.dumps(doc))
+        code = main(["value", str(path), "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: space 'Theta' must be a JSON array of strings\n"
+
     def test_space_mismatch_exits_3(self, capsys, sample_file):
         code = main(["value", sample_file, "--experiment", "bsc", "--prior", "uniform", "--loss", "mismatched"])
         assert code == 3
@@ -132,6 +153,24 @@ class TestDeficiency:
         assert captured.out == ""
         assert captured.err.startswith("solver fault: internal LP failure (status 4)")
         assert issubclass(SolverError, RuntimeError)
+
+    def test_zero_mass_prior_has_no_verdict(self, capsys, tmp_path):
+        # a zero-mass hypothesis lets mismatches on it hide, so the weighted
+        # test gives no factorization verdict; the sup variant still does
+        doc = json.loads(json.dumps(SAMPLE))
+        doc["distributions"]["onesided"] = {"space": "Theta", "mass": [1.0, 0.0]}
+        path = tmp_path / "onesided.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, ["deficiency", str(path), "ident", "ident", "--prior", "onesided"])
+        assert code == 0
+        assert out["factors_through"] is None
+        code, out = run(capsys, ["deficiency", str(path), "point", "ident", "--prior", "onesided"])
+        assert code == 0
+        assert out["delta"] == pytest.approx(0.0, abs=1e-7)
+        assert out["factors_through"] is None
+        code, out = run(capsys, ["deficiency", str(path), "point", "ident", "--sup"])
+        assert code == 0
+        assert out["factors_through"] is False
 
     def test_prior_and_sup_exclusive(self, sample_file):
         with pytest.raises(SystemExit):
@@ -203,6 +242,21 @@ class TestIB:
         )
         assert code == 0
         assert out["mutual_information_bits"] <= 1e-3
+
+    def test_tiny_prior_mass_prints_strict_json(self, capsys, tmp_path):
+        # the product of the code and input marginals underflows to 0 here
+        doc = json.loads(json.dumps(SAMPLE))
+        doc["distributions"]["tiny"] = {"space": "Theta", "mass": [1e-200, 1.0]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        argv = ["ib", str(path), "--experiment", "ident", "--prior", "tiny", "--loss", "zero_one", "--latent", "2"]
+        assert main(argv) == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["mutual_information_bits"] == pytest.approx(6.643856189774725e-198, rel=1e-12)
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-0.5", "abc"])
     def test_bad_beta_exits_2(self, capsys, sample_file, beta):

@@ -5,7 +5,6 @@ from scipy.optimize import linprog
 from finexp.decisions import bayes_decision_rule, bayes_risk, value
 from finexp.deficiency import (
     directed_deficiency,
-    factors_through,
     weighted_deficiency,
     weighted_directed_deficiency,
     weighted_objective,
@@ -148,22 +147,16 @@ class TestFactorsThrough:
             z = FiniteSpace.of_size(int(rng.integers(2, 4)), "z")
             noise = random_kernel(rng, t.target, z)
             u = compose(noise, t)
-            res = factors_through(t, u, uniform(theta))
-            assert res.factors
+            res = weighted_directed_deficiency(t, u, uniform(theta))
+            assert res.delta <= 1e-6
             resid = np.abs(u.matrix - res.witness.matrix @ t.matrix).sum(axis=0)
             assert resid.max() <= 1e-6
 
     def test_identity_does_not_factor_through_point(self):
         theta = FiniteSpace.of_size(2, "t")
-        res = factors_through(uninformative(theta), identity(theta), uniform(theta))
-        assert not res.factors
-        assert res.witness is None
+        res = weighted_directed_deficiency(uninformative(theta), identity(theta), uniform(theta))
+        assert res.delta > 1e-6
         assert res.delta == pytest.approx(1.0, abs=1e-8)
-
-    def test_requires_strictly_positive_prior(self):
-        theta = FiniteSpace.of_size(2, "t")
-        with pytest.raises(ValueError, match="positive"):
-            factors_through(identity(theta), identity(theta), Distribution(theta, [1.0, 0.0]))
 
     def test_sufficient_merge_is_isomorphic(self):
         # experiment built as split-after-merge: output rows agree within
@@ -181,8 +174,8 @@ class TestFactorsThrough:
         merge = MarkovKernel(x, y, np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=float))
         merged = compose(merge, t)
         pi = uniform(theta)
-        assert factors_through(t, merged, pi).factors
-        assert factors_through(merged, t, pi).factors
+        assert weighted_directed_deficiency(t, merged, pi).delta <= 1e-6
+        assert weighted_directed_deficiency(merged, t, pi).delta <= 1e-6
 
 
 class TestReductionConstruction:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from finexp.kernels import (
     Distribution,
     FiniteSpace,
-    JointDistribution,
     MarkovKernel,
     POINT,
     SpaceMismatchError,
@@ -14,7 +13,6 @@ from finexp.kernels import (
     compose,
     deterministic,
     identity,
-    joint,
     point_mass,
     pushforward,
     uniform,
@@ -68,11 +66,6 @@ class TestConstruction:
         d = uniform(FiniteSpace.of_size(3))
         with pytest.raises(ValueError):
             d.mass[0] = 0.9
-
-    def test_joint_total_mass_checked(self):
-        x = FiniteSpace.of_size(2)
-        with pytest.raises(ValueError, match="sums to"):
-            JointDistribution((x, x), [[0.5, 0.1], [0.1, 0.1]])
 
 
 class TestCompose:
@@ -137,18 +130,18 @@ class TestPushforward:
 class TestJoint:
     def test_identity_uniform_is_diagonal(self):
         x = FiniteSpace.of_size(2)
-        j = joint(identity(x), uniform(x))
-        np.testing.assert_allclose(j.matrix, np.diag([0.5, 0.5]))
+        j = identity(x).matrix * uniform(x).mass[None, :]
+        np.testing.assert_allclose(j, np.diag([0.5, 0.5]))
 
     def test_bsc_table(self):
-        j = joint(bsc(0.1), uniform(FiniteSpace.of_size(2, "t")))
-        np.testing.assert_allclose(j.matrix, [[0.45, 0.05], [0.05, 0.45]])
+        j = bsc(0.1).matrix * uniform(FiniteSpace.of_size(2, "t")).mass[None, :]
+        np.testing.assert_allclose(j, [[0.45, 0.05], [0.05, 0.45]])
 
     @settings(max_examples=60)
     @given(strat.experiments())
     def test_total_mass_one(self, pe):
         prior, exp = pe
-        assert joint(exp, prior).matrix.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (exp.matrix * prior.mass[None, :]).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBayesInverse:
@@ -171,14 +164,40 @@ class TestBayesInverse:
         assert inv.filled_columns == (2,)
         np.testing.assert_allclose(inv.matrix[:, 2], [0.5, 0.5])
 
+    def test_matches_per_column_loop(self):
+        # reference: divide each joint row by its marginal, uniform where it is 0
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            nt, nx = (int(v) for v in rng.integers(1, 7, size=2))
+            m = rng.random((nx, nt)) * (rng.random((nx, nt)) < 0.5)
+            m[rng.integers(nx, size=nt), np.arange(nt)] += 0.1
+            mass = rng.random(nt) * (rng.random(nt) < 0.7)
+            mass[rng.integers(nt)] += 0.1
+            theta = FiniteSpace.of_size(nt, "t")
+            k = MarkovKernel(theta, FiniteSpace.of_size(nx), m / m.sum(axis=0))
+            p = Distribution(theta, mass / mass.sum())
+            jm = k.matrix * p.mass[None, :]
+            marginal = jm.sum(axis=1)
+            ref = np.empty((nt, nx))
+            filled = []
+            for x in range(nx):
+                if marginal[x] > 0:
+                    ref[:, x] = jm[x, :] / marginal[x]
+                else:
+                    ref[:, x] = 1.0 / nt
+                    filled.append(x)
+            inv = bayes_inverse(k, p)
+            np.testing.assert_array_equal(inv.matrix, ref)
+            assert inv.filled_columns == tuple(filled)
+
     @settings(max_examples=80)
     @given(strat.experiments())
     def test_joint_consistency(self, pe):
         # reversing the kernel through the prior preserves the joint
         prior, exp = pe
         marginal = pushforward(exp, prior)
-        forward = joint(exp, prior).matrix
-        backward = joint(bayes_inverse(exp, prior), marginal).matrix
+        forward = exp.matrix * prior.mass[None, :]
+        backward = bayes_inverse(exp, prior).matrix * marginal.mass[None, :]
         np.testing.assert_allclose(backward, forward.T, atol=1e-9)
 
 
@@ -214,7 +233,7 @@ class TestVariationalDivergence:
         t = data.draw(strat.kernels())
         u = data.draw(strat.kernels(source=t.source, target=t.target))
         prior = data.draw(strat.distributions(space=t.source))
-        lhs = np.abs(joint(t, prior).matrix - joint(u, prior).matrix).sum()
+        lhs = np.abs(t.matrix * prior.mass[None, :] - u.matrix * prior.mass[None, :]).sum()
         rhs = sum(
             prior.mass[i] * variational_divergence(t.column(i), u.column(i))
             for i in range(t.source.size)
