@@ -151,7 +151,11 @@ def encoder_step(
         enc = np.zeros((k, n))
         enc[np.argmin(table, axis=1), np.arange(n)] = 1.0
         return enc
-    with np.errstate(divide="ignore"):
+    # shifting each row to its least regret first keeps a subnormal beta
+    # from turning every regret into inf; larger regrets may still overflow
+    # to inf, which is weight zero
+    table = table - table.min(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", over="ignore"):
         logw = np.log(latent_prior)[None, :] - table / beta
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)

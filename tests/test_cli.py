@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from finexp.cli import EXIT_SOLVER_FAULT, main
@@ -152,6 +153,9 @@ class TestDeficiency:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("solver fault: internal LP failure (status 4)")
+        # the variant and the LP shape (rows x columns) for bsc -> ident on 2 hypotheses
+        expected = "the weighted LP (4 x 6)" if variant[0] == "--prior" else "the sup LP (8 x 9)"
+        assert expected in captured.err
         assert issubclass(SolverError, RuntimeError)
 
     def test_zero_mass_prior_has_no_verdict(self, capsys, tmp_path):
@@ -242,6 +246,18 @@ class TestIB:
         )
         assert code == 0
         assert out["mutual_information_bits"] <= 1e-3
+
+    def test_subnormal_beta_gives_stochastic_encoder(self, capsys):
+        # every positive regret over 5e-324 overflows; the least one must not
+        argv = [
+            "ib", str(ROOT / "scripts" / "sample_experiment.json"), "--experiment", "bsc",
+            "--prior", "uniform", "--loss", "cost_sensitive", "--latent", "1", "--beta", "5e-324",
+        ]
+        code, out = run(capsys, argv)
+        assert code == 0
+        enc = np.array(out["encoder"])
+        assert np.all(enc >= 0)
+        np.testing.assert_allclose(enc.sum(axis=0), 1.0, atol=1e-12)
 
     def test_tiny_prior_mass_prints_strict_json(self, capsys, tmp_path):
         # the product of the code and input marginals underflows to 0 here

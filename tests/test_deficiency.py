@@ -276,3 +276,54 @@ class TestMatchesInequalityReference:
         assert deltas[-1] <= 1e-9  # the garbled pair
         assert min(deltas[:-1]) > 1e-3  # the random pairs are far from factoring
 
+
+def _both_variants(t, u, pi):
+    """(result, reference delta) for the weighted and the sup variant."""
+    return [
+        (weighted_directed_deficiency(t, u, pi), reference_delta(t, u, pi)),
+        (directed_deficiency(t, u), reference_delta(t, u)),
+    ]
+
+
+class TestReferenceEdgeCases:
+    def test_unproduced_input_gets_uniform_column(self):
+        # no hypothesis produces x2, so column x2 of V is free in both programs
+        rng = np.random.default_rng(15)
+        theta = FiniteSpace.of_size(4, "t")
+        x = FiniteSpace.of_size(5, "x")
+        m = random_kernel(rng, theta, FiniteSpace.of_size(4, "x")).matrix
+        t = MarkovKernel(theta, x, np.insert(m, 2, 0.0, axis=0))
+        u = random_kernel(rng, theta, FiniteSpace.of_size(3, "y"))
+        for res, ref in _both_variants(t, u, random_distribution(rng, theta)):
+            assert abs(res.delta - max(0.0, ref)) <= 1e-9
+            assert res.objective_gap <= 1e-9
+            np.testing.assert_array_equal(res.witness.matrix[:, 2], np.full(3, 1.0 / 3))
+
+    @pytest.mark.parametrize("sizes", [(12, 14, 13), (16, 12, 16), (14, 16, 12)])
+    def test_larger_instances(self, sizes):
+        nt, nx, ny = sizes
+        rng = np.random.default_rng(sum(sizes))
+        theta = FiniteSpace.of_size(nt, "t")
+        t = random_kernel(rng, theta, FiniteSpace.of_size(nx, "x"))
+        u = random_kernel(rng, theta, FiniteSpace.of_size(ny, "y"))
+        for res, ref in _both_variants(t, u, random_distribution(rng, theta)):
+            assert abs(res.delta - max(0.0, ref)) <= 1e-9
+            assert res.objective_gap <= 1e-9
+            np.testing.assert_allclose(res.witness.matrix.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_degenerate_pairs_stay_at_zero(self):
+        # sparse Dirichlet(0.3) columns and priors, some masses near 1e-8:
+        # self, garbled and uninformative-target pairs all factor exactly, so
+        # delta keeps the self-deficiency bound
+        rng = np.random.default_rng(16)
+        worst = 0.0
+        for _ in range(50):
+            theta = FiniteSpace.of_size(int(rng.integers(2, 9)), "t")
+            x = FiniteSpace.of_size(int(rng.integers(2, 9)), "x")
+            z = FiniteSpace.of_size(int(rng.integers(2, 9)), "z")
+            t = MarkovKernel(theta, x, rng.dirichlet(np.full(x.size, 0.3), size=theta.size).T)
+            noise = MarkovKernel(x, z, rng.dirichlet(np.full(z.size, 0.3), size=x.size).T)
+            pi = Distribution(theta, rng.dirichlet(np.full(theta.size, 0.3)))
+            for u in (t, compose(noise, t), uninformative(theta)):
+                worst = max(worst, weighted_directed_deficiency(t, u, pi).delta, directed_deficiency(t, u).delta)
+        assert worst <= 1e-8
