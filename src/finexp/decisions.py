@@ -5,6 +5,10 @@ decision rule that only sees the experiment's output.  It is computed as an
 expected posterior minimum, never by materializing the concave envelope of
 the loss as a function object: every use goes through a min over actions at
 a concrete posterior.
+
+Public functions take validated objects and check their spaces; the
+``_``-prefixed cores take plain arrays, so callers that have already
+validated their inputs (the verify suites) skip the object layer.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .kernels import (
     MarkovKernel,
     _mismatch,
     bayes_inverse,
-    compose,
 )
 
 _LN2 = math.log(2.0)
@@ -81,12 +84,21 @@ def value(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> fl
     Equal to the marginal-weighted average of the posterior minimum expected
     loss; computed via the joint so outputs of zero marginal mass drop out.
     """
+    _check_value_spaces(loss, prior, experiment)
+    return _value(experiment.matrix, prior.mass, loss.values)
+
+
+def _check_value_spaces(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> None:
     if experiment.source != loss.theta:
         raise _mismatch("value: experiment input", loss.theta, experiment.source)
     if prior.space != loss.theta:
         raise _mismatch("value: prior", loss.theta, prior.space)
-    jm = experiment.matrix * prior.mass[None, :]
-    return float((jm @ loss.values).min(axis=1).sum())
+
+
+def _value(matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray) -> float:
+    """Array core of ``value``: experiment matrix, prior masses, loss values."""
+    jm = matrix * mass[None, :]
+    return float((jm @ loss_values).min(axis=1).sum())
 
 
 def bayes_decision_rule(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> MarkovKernel:
@@ -120,7 +132,19 @@ def feature_gap(
     encoder: MarkovKernel,
 ) -> float:
     """Value lost by deciding from encoded data instead of raw data (>= 0)."""
-    return value(loss, prior, compose(encoder, experiment)) - value(loss, prior, experiment)
+    if encoder.source != experiment.target:
+        raise _mismatch(
+            "compose: outer input must match inner output", experiment.target, encoder.source
+        )
+    _check_value_spaces(loss, prior, experiment)
+    return _feature_gap(encoder.matrix, experiment.matrix, prior.mass, loss.values)
+
+
+def _feature_gap(
+    encoder_matrix: np.ndarray, matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray
+) -> float:
+    """Array core of ``feature_gap``: encoder matrix, then as ``_value``."""
+    return _value(encoder_matrix @ matrix, mass, loss_values) - _value(matrix, mass, loss_values)
 
 
 def information_gap(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:
@@ -172,4 +196,6 @@ def mutual_information(prior: Distribution, encoder: MarkovKernel) -> float:
     nats = (
         _xlogy(jm, jm).sum() - _xlogy(jm, pz[:, None]).sum() - _xlogy(jm, prior.mass[None, :]).sum()
     )
-    return float(nats / _LN2)
+    # a KL divergence, so a sum below 0 is rounding; a NaN passes through
+    bits = float(nats / _LN2)
+    return 0.0 if bits <= 0 else bits

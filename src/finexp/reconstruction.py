@@ -7,6 +7,10 @@ encoded data costs at most quality times the loss's sup-norm.  The quality
 of the best decoder has a closed form (decode each code to its most probable
 preimage), which the LP deficiency solver reproduces and the tests cross
 check.
+
+Public functions take validated objects and check their spaces; the
+``_``-prefixed cores take plain arrays, so callers that have already
+validated their inputs (the verify suites) skip the object layer.
 """
 
 from __future__ import annotations
@@ -70,12 +74,18 @@ def optimal_decoder(encoder: MarkovKernel, prior: Distribution) -> MarkovKernel:
     """Most-probable-preimage decoder; codes with zero mass decode to the prior mode."""
     if prior.space != encoder.source:
         raise _mismatch("optimal_decoder", encoder.source, prior.space)
-    scores = encoder.matrix * prior.mass[None, :]
+    return MarkovKernel(encoder.target, encoder.source, _decoder(encoder.matrix, prior.mass))
+
+
+def _decoder(encoder_matrix: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Array core of ``optimal_decoder``: the decoder's matrix."""
+    scores = encoder_matrix * mass[None, :]
     best = np.argmax(scores, axis=1)
-    best[scores.sum(axis=1) <= 0] = int(np.argmax(prior.mass))
-    m = np.zeros((encoder.source.size, encoder.target.size))
-    m[best, np.arange(encoder.target.size)] = 1.0
-    return MarkovKernel(encoder.target, encoder.source, m)
+    best[scores.sum(axis=1) <= 0] = int(np.argmax(mass))
+    nz, nx = encoder_matrix.shape
+    m = np.zeros((nx, nz))
+    m[best, np.arange(nz)] = 1.0
+    return m
 
 
 def reconstruction_error(
@@ -85,14 +95,25 @@ def reconstruction_error(
     if prior.space != encoder.source:
         raise _mismatch("reconstruction_error", encoder.source, prior.space)
     roundtrip = compose(decoder, encoder)
-    off = roundtrip.matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(prior.mass @ off.sum(axis=0))
+    return _missed_mass(roundtrip.matrix.copy(), prior.mass)
+
+
+def _missed_mass(roundtrip: np.ndarray, mass: np.ndarray) -> float:
+    """Mass sent off the diagonal by a round-trip matrix; zeroes its diagonal in place."""
+    np.fill_diagonal(roundtrip, 0.0)
+    return float(mass @ roundtrip.sum(axis=0))
 
 
 def generic_quality(encoder: MarkovKernel, prior: Distribution) -> float:
     """Twice the best achievable reconstruction error; in [0, 2]."""
-    return 2.0 * reconstruction_error(encoder, optimal_decoder(encoder, prior), prior)
+    if prior.space != encoder.source:
+        raise _mismatch("optimal_decoder", encoder.source, prior.space)
+    return _generic_quality(encoder.matrix, prior.mass)
+
+
+def _generic_quality(encoder_matrix: np.ndarray, mass: np.ndarray) -> float:
+    """Array core of ``generic_quality``: encoder matrix and input masses."""
+    return 2.0 * _missed_mass(_decoder(encoder_matrix, mass) @ encoder_matrix, mass)
 
 
 def _map_decode(f: np.ndarray, px: np.ndarray, k: int) -> np.ndarray:

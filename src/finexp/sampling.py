@@ -18,9 +18,13 @@ def random_distribution(
     return Distribution(space, m)
 
 
+def _random_columns(rng: np.random.Generator, n_source: int, n_target: int) -> np.ndarray:
+    """n_target-by-n_source matrix whose columns are uniform Dirichlet draws."""
+    return rng.dirichlet(np.ones(n_target), size=n_source).T
+
+
 def random_kernel(rng: np.random.Generator, source: FiniteSpace, target: FiniteSpace) -> MarkovKernel:
-    cols = rng.dirichlet(np.ones(target.size), size=source.size).T
-    return MarkovKernel(source, target, cols)
+    return MarkovKernel(source, target, _random_columns(rng, source.size, target.size))
 
 
 def random_deterministic_kernel(

@@ -17,11 +17,11 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .bottleneck import ib_distortion, ib_learn
-from .decisions import feature_gap, regret, value
+from .decisions import _feature_gap, feature_gap, regret, value
 from .deficiency import weighted_deficiency, weighted_directed_deficiency
-from .kernels import FiniteSpace, bayes_inverse, compose, identity, pushforward
-from .reconstruction import autoencode, generic_quality, hellman_raviv_check, stack
-from .sampling import random_distribution, random_kernel, random_loss
+from .kernels import Distribution, FiniteSpace, bayes_inverse, compose, identity, pushforward
+from .reconstruction import _generic_quality, autoencode, generic_quality, hellman_raviv_check, stack
+from .sampling import _random_columns, random_distribution, random_kernel, random_loss
 
 
 class Check(NamedTuple):
@@ -154,25 +154,28 @@ def suite_quality_certificate(rng, trials, max_dim, problems_per_encoder: int = 
     Each trial fixes one encoder and pits a batch of consistent problems
     against it (the data prior, and with it the quality, follows from each
     problem's experiment and prior); the LP cross-check runs once per trial.
+    The inner problems are drawn and solved as arrays, through the cores of
+    ``generic_quality`` and ``feature_gap``.
     """
     for i in range(trials):
         x_space = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "x")
         code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
         encoder = random_kernel(rng, x_space, code)
         worst = -np.inf
-        data_prior = None
+        data_mass = None
         eps = 0.0
         for _ in range(problems_per_encoder):
-            theta = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "t")
-            prior = random_distribution(rng, theta)
-            t_exp = random_kernel(rng, theta, x_space)
-            data_prior = pushforward(t_exp, prior)
-            eps = generic_quality(encoder, data_prior)
-            actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
-            loss = random_loss(rng, theta, actions)
-            gap = feature_gap(loss, prior, t_exp, encoder)
-            worst = max(worst, gap - eps * loss.sup_norm)
+            nt = int(rng.integers(2, max_dim + 1))
+            mass = rng.dirichlet(np.ones(nt))
+            t_matrix = _random_columns(rng, nt, x_space.size)
+            data_mass = t_matrix @ mass
+            eps = _generic_quality(encoder.matrix, data_mass)
+            na = int(rng.integers(2, max(3, max_dim) + 1))
+            loss_values = rng.uniform(-1.0, 1.0, size=(nt, na))
+            gap = _feature_gap(encoder.matrix, t_matrix, mass, loss_values)
+            worst = max(worst, gap - eps * float(np.abs(loss_values).max()))
         yield Check(f"trial{i}_bound", worst, 1e-6)
+        data_prior = Distribution(x_space, data_mass)
         lp = weighted_directed_deficiency(encoder, identity(x_space), data_prior).delta
         yield Check(f"trial{i}_lp_match", abs(eps - lp), 1e-6)
 

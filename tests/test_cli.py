@@ -10,9 +10,10 @@ import pytest
 
 from finexp.cli import EXIT_SOLVER_FAULT, main
 from finexp.deficiency import SolverError
-from finexp.verify import SUITES
+from finexp.verify import SUITES, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
+SAMPLE_FILE = str(ROOT / "scripts" / "sample_experiment.json")
 
 SAMPLE = {
     "spaces": {
@@ -274,6 +275,17 @@ class TestIB:
         out = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert out["mutual_information_bits"] == pytest.approx(6.643856189774725e-198, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", ["0", "2"])
+    def test_mutual_information_never_negative(self, capsys, seed):
+        # a constant encoder: the rounding of the three log sums once printed -3.2e-16
+        argv = [
+            "ib", SAMPLE_FILE, "--experiment", "ident", "--prior", "uniform",
+            "--loss", "cost_sensitive", "--latent", "2", "--beta", "5", "--seed", seed,
+        ]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert out["mutual_information_bits"] == 0.0
+
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-0.5", "abc"])
     def test_bad_beta_exits_2(self, capsys, sample_file, beta):
         with pytest.raises(SystemExit) as exc:
@@ -336,6 +348,40 @@ class TestVerify:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+STDOUT_CALLS = {
+    "value": ["value", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform", "--loss", "cost_sensitive"],
+    "deficiency_prior": ["deficiency", SAMPLE_FILE, "bsc", "ident", "--prior", "uniform"],
+    "deficiency_sup": ["deficiency", SAMPLE_FILE, "blind", "bsc", "--sup"],
+    "autoencode": ["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "3"],
+    "stack": ["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "4,2"],
+    "ib": [
+        "ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform",
+        "--loss", "cost_sensitive", "--latent", "2", "--beta", "0.3",
+    ],
+    "verify": ["verify", "--trials", "2"],
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+@pytest.mark.parametrize("name", STDOUT_CALLS)
+def test_stdout_is_one_strict_json_line(capfd, name):
+    """File descriptor 1 gets the result and nothing else, whatever writes to it."""
+    assert main(STDOUT_CALLS[name]) == 0
+    out = capfd.readouterr().out
+    assert out.endswith("\n")
+    assert out.count("\n") == 1
+    assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suites_write_nothing_to_stdout(capfd, suite):
+    run_suite(suite, trials=2)
+    assert capfd.readouterr().out == ""
 
 
 IMPORT_PROBE = """

@@ -3,7 +3,10 @@ import pytest
 from scipy.optimize import linprog
 
 from finexp.decisions import bayes_decision_rule, bayes_risk, value
+from finexp import deficiency
 from finexp.deficiency import (
+    _block,
+    _matrix,
     directed_deficiency,
     weighted_deficiency,
     weighted_directed_deficiency,
@@ -327,3 +330,40 @@ class TestReferenceEdgeCases:
             for u in (t, compose(noise, t), uninformative(theta)):
                 worst = max(worst, weighted_directed_deficiency(t, u, pi).delta, directed_deficiency(t, u).delta)
         assert worst <= 1e-8
+
+
+def test_block_holds_the_nonzero_entries_of_the_dense_layout():
+    rng = np.random.default_rng(17)
+    theta, x, y = FiniteSpace.of_size(4, "t"), FiniteSpace.of_size(5, "x"), FiniteSpace.of_size(3, "y")
+    m = rng.dirichlet(np.ones(x.size), size=theta.size).T
+    m[1:3, 0] = 0.0
+    m[:, 2] = np.eye(x.size)[4]
+    first = MarkovKernel(theta, x, m / m.sum(axis=0))
+    dense = np.vstack(
+        [np.kron(np.eye(y.size), first.matrix.T), np.kron(np.ones((1, y.size)), np.eye(x.size))]
+    )
+    rows, cols, data = _block(first, random_kernel(rng, theta, y))
+    np.testing.assert_array_equal(_matrix(rows, cols, data, dense.shape), dense)
+    # no stored zeros, so a sparse matrix gives the solver the same model as dense
+    assert np.all(data != 0) and data.size == np.count_nonzero(dense)
+
+
+def test_dense_and_sparse_lp_matrices_give_identical_results(monkeypatch):
+    cases = [
+        (t, u, random_distribution(rng, theta))
+        for rng, theta, t, u in rng_instances(18, 12, (2, 6), (2, 6), (2, 6))
+    ]
+    rng = np.random.default_rng(19)
+    theta = FiniteSpace.of_size(12, "t")
+    t = MarkovKernel(theta, FiniteSpace.of_size(12, "x"), rng.dirichlet(np.full(12, 0.3), size=12).T)
+    cases.append((t, random_kernel(rng, theta, FiniteSpace.of_size(10, "y")), random_distribution(rng, theta)))
+
+    def solve_all():
+        return [(weighted_directed_deficiency(t, u, pi), directed_deficiency(t, u)) for t, u, pi in cases]
+
+    dense = solve_all()
+    monkeypatch.setattr(deficiency, "_DENSE_CELLS", 0)
+    for pair_dense, pair_sparse in zip(dense, solve_all()):
+        for a, b in zip(pair_dense, pair_sparse):
+            assert a.delta == b.delta and a.objective_gap == b.objective_gap
+            np.testing.assert_array_equal(a.witness.matrix, b.witness.matrix)
