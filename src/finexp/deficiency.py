@@ -36,8 +36,16 @@ back as the multiplier of those rows.  With 32 labels on every space that
 is 1024 x 1056 against 1056 x 2048 for the primal, and HiGHS solves it in
 about half the time.  The worst-case dual would add a worst-case prior as
 variables; its simplex solves took about twice as long as the primal
-above, so that variant stays primal.  Problem sizes here are desk
-scale, so the matrices are dense.
+above, so that variant stays primal.
+
+A constraint matrix of at most ``_DENSE_CELLS`` cells goes to the solver
+dense and a larger one sparse (at 32 labels both variants are sparse);
+only nonzero entries are stored, so both give HiGHS the same model.  At
+desk scale scipy's per-call overhead is most of a solve, so weighted
+problems are solved in batches: their duals share no variable, and
+consecutive problems are stacked as the blocks of one block-diagonal LP
+while it stays within ``_DENSE_CELLS``.  A single weighted solve is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -115,12 +123,17 @@ def _witness_kernel(v: np.ndarray, first: MarkovKernel, second: MarkovKernel) ->
 
 
 #: An LP matrix of at most this many cells goes to the solver dense, a larger
-#: one sparse.  Small, scipy's sparse front end adds up to 0.4 ms to a 2-3 ms
-#: solve (n <= 6); large, each dense copy grows as n^4 (the worst-case LP at
-#: the 32-label cap is 17 MB, scipy copies it twice, and the peak memory of a
-#: process then varies with how the allocator reuses those blocks).  Only
-#: nonzero entries are stored, so both formats give HiGHS the same model.
-_DENSE_CELLS = 1 << 16
+#: one sparse, and weighted problems are stacked into one LP while the stacked
+#: matrix stays within it.  Small, scipy's sparse front end adds up to 0.4 ms
+#: to a 2-3 ms solve (n <= 6); large, each dense copy grows as n^4 (the
+#: worst-case LP at the 32-label cap is 17 MB, scipy copies it twice, and the
+#: peak memory of a process then varies with how the allocator reuses those
+#: blocks).  2^15 stacks about ten problems at n <= 6 per solve.  Against
+#: 2^16 it took the same time, within noise, in the verify suites, and it
+#: raised their peak memory over one solve per call by half as much (+1.1 to
+#: 1.5 MB against +2.4 to 3.2 MB).  Only nonzero entries are stored, so both
+#: formats give HiGHS the same model.
+_DENSE_CELLS = 1 << 15
 
 
 def _matrix(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
@@ -150,6 +163,71 @@ def _block(first: MarkovKernel, second: MarkovKernel) -> tuple[np.ndarray, np.nd
     return rows, cols, data
 
 
+def _weighted_batch(problems) -> list[DeficiencyResult]:
+    """Weighted directed deficiencies of (first, second, prior) triples, in input order.
+
+    The duals of different problems share no variable, so consecutive
+    problems are stacked as the blocks of one block-diagonal LP while the
+    stacked matrix has at most ``_DENSE_CELLS`` cells; that LP's optimum
+    restricted to a block is the block's own optimum.  A problem too large
+    for the cap is solved on its own, and its matrix goes sparse.
+    """
+    problems = list(problems)
+    for first, second, prior in problems:
+        _check_pair(first, second)
+        if prior.space != first.source:
+            raise _mismatch("deficiency: prior", first.source, prior.space)
+    results: list[DeficiencyResult] = []
+    group: list[tuple] = []
+    rows = cols = 0
+    for problem in problems:
+        first, second, _ = problem
+        nx, ny, nt = first.target.size, second.target.size, first.source.size
+        r, c = ny * nx, ny * nt + nx
+        if group and (rows + r) * (cols + c) > _DENSE_CELLS:
+            results += _weighted_group(group, (rows, cols))
+            group, rows, cols = [], 0, 0
+        group.append((problem, rows, cols))
+        rows, cols = rows + r, cols + c
+    if group:
+        results += _weighted_group(group, (rows, cols))
+    return results
+
+
+def _weighted_group(group: list[tuple], shape: tuple[int, int]) -> list[DeficiencyResult]:
+    """Solve the stacked duals of one group; entries are (problem, row offset, column offset)."""
+    c, lower, upper, a_rows, a_cols, a_data = [], [], [], [], [], []
+    for (first, second, prior), row0, col0 in group:
+        nx, ny, nt = first.target.size, second.target.size, first.source.size
+        # the dual of the half-l1 program: z[y, theta] in [0, 2 prior(theta)], mu[x] free
+        c += [-second.matrix.reshape(-1), -np.ones(nx)]
+        lower += [np.zeros(ny * nt), np.full(nx, -np.inf)]
+        upper += [np.tile(2.0 * prior.mass, ny), np.full(nx, np.inf)]
+        rows, cols, data = _block(first, second)
+        a_rows.append(row0 + cols)  # the block's transpose
+        a_cols.append(col0 + rows)
+        a_data.append(data)
+    c = np.concatenate(c)
+    a_ub = _matrix(np.concatenate(a_rows), np.concatenate(a_cols), np.concatenate(a_data), shape)
+    # HiGHS lets a bound slip by its primal feasibility tolerance, 1e-7 by
+    # default; a prior mass below that would let z overshoot and inflate delta
+    res = _solve("weighted", c, a_ub, np.zeros(shape[0]),
+                 bounds=np.column_stack([np.concatenate(lower), np.concatenate(upper)]),
+                 options={"primal_feasibility_tolerance": 1e-9})
+    # V is the multiplier of the rows z T + mu <= 0, negated because linprog minimizes
+    v_all = -res.ineqlin.marginals
+    out = []
+    for (first, second, prior), row0, col0 in group:
+        nx, ny, nt = first.target.size, second.target.size, first.source.size
+        block = slice(col0, col0 + ny * nt + nx)
+        witness = _witness_kernel(v_all[row0:row0 + ny * nx].reshape(ny, nx), first, second)
+        # summed left to right, as HiGHS sums its objective
+        delta = max(0.0, -float(np.cumsum(c[block] * res.x[block])[-1]))
+        gap = abs(weighted_objective(first, second, prior, witness) - delta)
+        out.append(DeficiencyResult(delta=delta, witness=witness, objective_gap=gap))
+    return out
+
+
 def weighted_directed_deficiency(
     first: MarkovKernel, second: MarkovKernel, prior: Distribution
 ) -> DeficiencyResult:
@@ -157,26 +235,7 @@ def weighted_directed_deficiency(
 
     Hypotheses carrying zero prior mass simply drop out of the objective.
     """
-    _check_pair(first, second)
-    if prior.space != first.source:
-        raise _mismatch("deficiency: prior", first.source, prior.space)
-    nx, ny, nt = first.target.size, second.target.size, first.source.size
-    # the dual of the half-l1 program: z[y, theta] in [0, 2 prior(theta)], mu[x] free
-    c = -np.concatenate([second.matrix.reshape(-1), np.ones(nx)])
-    lower = np.concatenate([np.zeros(ny * nt), np.full(nx, -np.inf)])
-    upper = np.concatenate([np.tile(2.0 * prior.mass, ny), np.full(nx, np.inf)])
-    rows, cols, data = _block(first, second)
-    a_ub = _matrix(cols, rows, data, (ny * nx, ny * nt + nx))  # the block's transpose
-    # HiGHS lets a bound slip by its primal feasibility tolerance, 1e-7 by
-    # default; a prior mass below that would let z overshoot and inflate delta
-    res = _solve("weighted", c, a_ub, np.zeros(ny * nx),
-                 bounds=np.column_stack([lower, upper]),
-                 options={"primal_feasibility_tolerance": 1e-9})
-    # V is the multiplier of the rows z T + mu <= 0, negated because linprog minimizes
-    witness = _witness_kernel(-res.ineqlin.marginals.reshape(ny, nx), first, second)
-    delta = max(0.0, -float(res.fun))
-    gap = abs(weighted_objective(first, second, prior, witness) - delta)
-    return DeficiencyResult(delta=delta, witness=witness, objective_gap=gap)
+    return _weighted_batch([(first, second, prior)])[0]
 
 
 def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> DeficiencyResult:
@@ -206,6 +265,5 @@ def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> Deficiency
 
 def weighted_deficiency(first: MarkovKernel, second: MarkovKernel, prior: Distribution) -> float:
     """Symmetrized weighted deficiency: max of the two directed solves."""
-    d12 = weighted_directed_deficiency(first, second, prior).delta
-    d21 = weighted_directed_deficiency(second, first, prior).delta
-    return max(d12, d21)
+    d12, d21 = _weighted_batch([(first, second, prior), (second, first, prior)])
+    return max(d12.delta, d21.delta)

@@ -6,6 +6,11 @@ tolerance it is judged against: violation <= tolerance passes, and the
 reported slack is tolerance minus violation (so the worst slack across a
 suite is its distance from failing).  Identical arguments always reproduce
 identical reports.
+
+The suites that solve deficiency LPs draw every trial first, then solve all
+of their LPs in one batch, then judge each trial.  No solve consumes the
+generator, so the draws keep the order of a trial-by-trial loop; batching
+saves scipy's per-call overhead, which is most of a small solve.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .bottleneck import ib_distortion, ib_learn
 from .decisions import _feature_gap, feature_gap, regret, value
-from .deficiency import weighted_deficiency, weighted_directed_deficiency
+from .deficiency import _weighted_batch
 from .kernels import Distribution, FiniteSpace, bayes_inverse, compose, identity, pushforward
 from .reconstruction import _generic_quality, autoencode, generic_quality, hellman_raviv_check, stack
 from .sampling import _random_columns, random_distribution, random_kernel, random_loss
@@ -80,6 +85,17 @@ def _problem(rng, max_dim, n_outputs=1):
     return theta, prior, outs
 
 
+def _deltas(problems) -> list[float]:
+    """Weighted directed deficiencies of (first, second, prior) triples, solved as one batch."""
+    return [res.delta for res in _weighted_batch(problems)]
+
+
+def _symmetric(pairs) -> list[float]:
+    """Symmetric weighted deficiencies of (first, second, prior) triples, solved as one batch."""
+    both = _deltas([p for t, u, prior in pairs for p in ((t, u, prior), (u, t, prior))])
+    return [max(d12, d21) for d12, d21 in zip(both[::2], both[1::2])]
+
+
 def _batch_values(joint: np.ndarray, losses: np.ndarray) -> np.ndarray:
     """Value of one experiment under a batch of losses; losses shaped [n, theta, action]."""
     return np.einsum("xt,nta->nxa", joint, losses).min(axis=2).sum(axis=1)
@@ -87,11 +103,13 @@ def _batch_values(joint: np.ndarray, losses: np.ndarray) -> np.ndarray:
 
 def suite_randomization(rng, trials, max_dim) -> Iterable[Check]:
     """Simulation error bounds the value advantage, loss by loss."""
-    for i in range(trials):
+    drawn = []
+    for _ in range(trials):
         theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
         actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
-        loss = random_loss(rng, theta, actions)
-        delta = weighted_directed_deficiency(t_exp, u_exp, prior).delta
+        drawn.append((prior, t_exp, u_exp, random_loss(rng, theta, actions)))
+    deltas = _deltas((t_exp, u_exp, prior) for prior, t_exp, u_exp, _ in drawn)
+    for i, ((prior, t_exp, u_exp, loss), delta) in enumerate(zip(drawn, deltas)):
         lhs = value(loss, prior, t_exp)
         rhs = value(loss, prior, u_exp) + delta * loss.sup_norm
         yield Check(f"trial{i}", lhs - rhs, 1e-6)
@@ -99,16 +117,20 @@ def suite_randomization(rng, trials, max_dim) -> Iterable[Check]:
 
 def suite_value_gap_bound(rng, trials, max_dim, losses_per_trial: int = 500) -> Iterable[Check]:
     """Sampled normalized value gaps never exceed the symmetric deficiency."""
-    for i in range(trials):
+    drawn, sampled = [], []
+    for _ in range(trials):
         theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
-        delta = weighted_deficiency(t_exp, u_exp, prior)
         na = int(rng.integers(2, max(3, max_dim) + 1))
         losses = rng.uniform(-1.0, 1.0, size=(losses_per_trial, theta.size, na))
+        # reduced as drawn: keeping every trial's losses would hold 14 MB at max_dim 6
         norms = np.abs(losses).max(axis=(1, 2))
         jt = t_exp.matrix * prior.mass[None, :]
         ju = u_exp.matrix * prior.mass[None, :]
         ratios = np.abs(_batch_values(jt, losses) - _batch_values(ju, losses)) / norms
-        yield Check(f"trial{i}", float(ratios.max()) - delta, 1e-6)
+        drawn.append((t_exp, u_exp, prior))
+        sampled.append(float(ratios.max()))
+    for i, (ratio, delta) in enumerate(zip(sampled, _symmetric(drawn))):
+        yield Check(f"trial{i}", ratio - delta, 1e-6)
 
 
 def suite_binary_cost_sweep(rng, trials, max_dim, grid_points: int = 200) -> Iterable[Check]:
@@ -121,13 +143,15 @@ def suite_binary_cost_sweep(rng, trials, max_dim, grid_points: int = 200) -> Ite
     grid = np.linspace(1.0 / (grid_points + 1), grid_points / (grid_points + 1), grid_points)
     cost_cols = np.stack([grid, -(1.0 - grid)], axis=1)  # action-one column per grid point
     norms = np.maximum(grid, 1.0 - grid)
-    for i in range(trials):
+    hi = min(max_dim, 4)
+    drawn = []
+    for _ in range(trials):
         theta = FiniteSpace.of_size(2, "t")
         prior = random_distribution(rng, theta)
-        hi = min(max_dim, 4)
         t_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "x"))
         u_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "y"))
-        delta = weighted_deficiency(t_exp, u_exp, prior)
+        drawn.append((t_exp, u_exp, prior))
+    for i, ((t_exp, u_exp, prior), delta) in enumerate(zip(drawn, _symmetric(drawn))):
         jt = t_exp.matrix * prior.mass[None, :]
         ju = u_exp.matrix * prior.mass[None, :]
         # two centered actions means the per-symbol minimum is -|.|
@@ -139,11 +163,13 @@ def suite_binary_cost_sweep(rng, trials, max_dim, grid_points: int = 200) -> Ite
 
 def suite_encoder_shift_bound(rng, trials, max_dim) -> Iterable[Check]:
     """Encoding an experiment moves it by at most the encoder's reconstruction quality."""
-    for i in range(trials):
+    drawn = []
+    for _ in range(trials):
         theta, prior, (t_exp,) = _problem(rng, max_dim, 1)
         code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
-        encoder = random_kernel(rng, t_exp.target, code)
-        lhs = weighted_deficiency(t_exp, compose(encoder, t_exp), prior)
+        drawn.append((prior, t_exp, random_kernel(rng, t_exp.target, code)))
+    shifts = _symmetric((t_exp, compose(encoder, t_exp), prior) for prior, t_exp, encoder in drawn)
+    for i, ((prior, t_exp, encoder), lhs) in enumerate(zip(drawn, shifts)):
         rhs = generic_quality(encoder, pushforward(t_exp, prior))
         yield Check(f"trial{i}", lhs - rhs, 1e-6)
 
@@ -153,11 +179,13 @@ def suite_quality_certificate(rng, trials, max_dim, problems_per_encoder: int = 
 
     Each trial fixes one encoder and pits a batch of consistent problems
     against it (the data prior, and with it the quality, follows from each
-    problem's experiment and prior); the LP cross-check runs once per trial.
-    The inner problems are drawn and solved as arrays, through the cores of
-    ``generic_quality`` and ``feature_gap``.
+    problem's experiment and prior); the LP cross-check runs once per trial,
+    on the last problem's data prior, and all of them are solved as one
+    batch after the draws.  The inner problems are drawn and solved as
+    arrays, through the cores of ``generic_quality`` and ``feature_gap``.
     """
-    for i in range(trials):
+    bounds, cross = [], []
+    for _ in range(trials):
         x_space = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "x")
         code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
         encoder = random_kernel(rng, x_space, code)
@@ -174,9 +202,10 @@ def suite_quality_certificate(rng, trials, max_dim, problems_per_encoder: int = 
             loss_values = rng.uniform(-1.0, 1.0, size=(nt, na))
             gap = _feature_gap(encoder.matrix, t_matrix, mass, loss_values)
             worst = max(worst, gap - eps * float(np.abs(loss_values).max()))
+        bounds.append((worst, eps))
+        cross.append((encoder, identity(x_space), Distribution(x_space, data_mass)))
+    for i, ((worst, eps), lp) in enumerate(zip(bounds, _deltas(cross))):
         yield Check(f"trial{i}_bound", worst, 1e-6)
-        data_prior = Distribution(x_space, data_mass)
-        lp = weighted_directed_deficiency(encoder, identity(x_space), data_prior).delta
         yield Check(f"trial{i}_lp_match", abs(eps - lp), 1e-6)
 
 
@@ -193,13 +222,18 @@ def suite_stacking(rng, trials, max_dim) -> Iterable[Check]:
 
 def suite_triangle(rng, trials, max_dim) -> Iterable[Check]:
     """The symmetric deficiency is a metric: triangle inequality and zero self-distance."""
+    drawn = [_problem(rng, max_dim, 3) for _ in range(trials)]
+    # per trial: both directions of (1, 2), (2, 3) and (1, 3), then 1 against itself
+    deltas = _deltas(
+        (a, b, prior)
+        for _, prior, (t1, t2, t3) in drawn
+        for a, b in ((t1, t2), (t2, t1), (t2, t3), (t3, t2), (t1, t3), (t3, t1), (t1, t1))
+    )
     for i in range(trials):
-        theta, prior, (t1, t2, t3) = _problem(rng, max_dim, 3)
-        d12 = weighted_deficiency(t1, t2, prior)
-        d23 = weighted_deficiency(t2, t3, prior)
-        d13 = weighted_deficiency(t1, t3, prior)
+        d = deltas[7 * i:7 * i + 7]
+        d12, d23, d13 = max(d[0], d[1]), max(d[2], d[3]), max(d[4], d[5])
         yield Check(f"trial{i}_triangle", d13 - (d12 + d23), 1e-6)
-        yield Check(f"trial{i}_self", weighted_directed_deficiency(t1, t1, prior).delta, 1e-7)
+        yield Check(f"trial{i}_self", d[6], 1e-7)
 
 
 def suite_gap_regret_identity(rng, trials, max_dim) -> Iterable[Check]:
@@ -284,12 +318,14 @@ def suite_oracle_value(rng, trials, max_dim) -> Iterable[Check]:
 
 def suite_oracle_generic(rng, trials, max_dim) -> Iterable[Check]:
     """The closed-form reconstruction quality matches the LP deficiency."""
-    for i in range(trials):
+    drawn = []
+    for _ in range(trials):
         n = int(rng.integers(2, max_dim + 1))
         nz = int(rng.integers(1, max_dim + 1))
         prior = random_distribution(rng, FiniteSpace.of_size(n, "x"))
-        encoder = random_kernel(rng, prior.space, FiniteSpace.of_size(nz, "z"))
-        lp = weighted_directed_deficiency(encoder, identity(prior.space), prior).delta
+        drawn.append((prior, random_kernel(rng, prior.space, FiniteSpace.of_size(nz, "z"))))
+    lps = _deltas((encoder, identity(prior.space), prior) for prior, encoder in drawn)
+    for i, ((prior, encoder), lp) in enumerate(zip(drawn, lps)):
         yield Check(f"trial{i}", abs(generic_quality(encoder, prior) - lp), 1e-6)
 
 

@@ -1,0 +1,17 @@
+import pytest
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Patch scipy's linprog to record the constraint matrix ``A_ub`` of every call."""
+    import scipy.optimize
+
+    calls = []
+    orig = scipy.optimize.linprog
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["A_ub"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr("scipy.optimize.linprog", recording)
+    return calls

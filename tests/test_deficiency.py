@@ -7,6 +7,7 @@ from finexp import deficiency
 from finexp.deficiency import (
     _block,
     _matrix,
+    _weighted_batch,
     directed_deficiency,
     weighted_deficiency,
     weighted_directed_deficiency,
@@ -23,7 +24,7 @@ from finexp.kernels import (
     uniform,
     uninformative,
 )
-from finexp.sampling import random_distribution, random_kernel, random_loss
+from finexp.sampling import random_deterministic_kernel, random_distribution, random_kernel, random_loss
 
 
 def rng_instances(seed, trials, nt=(2, 4), nx=(2, 4), ny=(2, 4)):
@@ -367,3 +368,85 @@ def test_dense_and_sparse_lp_matrices_give_identical_results(monkeypatch):
         for a, b in zip(pair_dense, pair_sparse):
             assert a.delta == b.delta and a.objective_gap == b.objective_gap
             np.testing.assert_array_equal(a.witness.matrix, b.witness.matrix)
+
+
+def _mixed_problems():
+    """(first, second, prior, degenerate) with sizes 1-7 and one n = 32 problem in the middle.
+
+    Covers zero prior masses, deterministic kernels, an input no hypothesis
+    produces, and Dirichlet(0.3) self and garbled pairs, which factor exactly.
+    """
+    rng = np.random.default_rng(20)
+    out = []
+    for i in range(36):
+        nt, nx, ny = (int(v) for v in rng.integers(1, 8, size=3))
+        theta = FiniteSpace.of_size(nt, "t")
+        x, y = FiniteSpace.of_size(nx, "x"), FiniteSpace.of_size(ny, "y")
+        if i % 4 == 0:
+            t, u = random_deterministic_kernel(rng, theta, x), random_deterministic_kernel(rng, theta, y)
+        else:
+            t, u = random_kernel(rng, theta, x), random_kernel(rng, theta, y)
+        mass = rng.dirichlet(np.ones(nt))
+        if i % 3 == 0 and nt > 1:
+            mass[rng.integers(0, nt, size=nt - 1)] = 0.0
+            mass /= mass.sum()
+        out.append((t, u, Distribution(theta, mass), False))
+        if i == 17:
+            big = FiniteSpace.of_size(32, "t")
+            out.append((random_kernel(rng, big, FiniteSpace.of_size(32, "x")),
+                        random_kernel(rng, big, FiniteSpace.of_size(32, "y")), random_distribution(rng, big), False))
+    theta = FiniteSpace.of_size(4, "t")
+    m = random_kernel(rng, theta, FiniteSpace.of_size(4, "x")).matrix
+    unproduced = MarkovKernel(theta, FiniteSpace.of_size(5, "x"), np.insert(m, 2, 0.0, axis=0))
+    out.insert(5, (unproduced, random_kernel(rng, theta, FiniteSpace.of_size(3, "y")), random_distribution(rng, theta), False))
+    for _ in range(6):
+        theta = FiniteSpace.of_size(int(rng.integers(2, 7)), "t")
+        x, z = FiniteSpace.of_size(int(rng.integers(2, 7)), "x"), FiniteSpace.of_size(int(rng.integers(2, 7)), "z")
+        t = MarkovKernel(theta, x, rng.dirichlet(np.full(x.size, 0.3), size=theta.size).T)
+        noise = MarkovKernel(x, z, rng.dirichlet(np.full(z.size, 0.3), size=x.size).T)
+        pi = Distribution(theta, rng.dirichlet(np.full(theta.size, 0.3)))
+        out += [(t, t, pi, True), (t, compose(noise, t), pi, True)]
+    return out
+
+
+def test_weighted_batch_matches_single_solves(linprog_calls):
+    problems = _mixed_problems()
+    singles = [weighted_directed_deficiency(t, u, pi) for t, u, pi, _ in problems]
+    del linprog_calls[:]
+    batch = _weighted_batch((t, u, pi) for t, u, pi, _ in problems)
+    assert len(batch) == len(problems)
+    # a few groups of dense small problems, and the n = 32 problem alone and sparse
+    assert len(linprog_calls) < len(problems) // 4
+    assert [a.shape for a in linprog_calls if not isinstance(a, np.ndarray)] == [(1024, 1056)]
+    for (t, u, pi, degenerate), res, single in zip(problems, batch, singles):
+        assert res.witness.matrix.shape == (u.target.size, t.target.size)
+        assert abs(res.delta - single.delta) <= 1e-12
+        np.testing.assert_allclose(res.witness.matrix.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(res.witness.matrix >= 0)
+        assert res.objective_gap <= 1e-9
+        if degenerate:
+            assert res.delta <= 1e-8
+
+
+def test_weighted_deficiency_is_the_larger_single_solve():
+    for t, u, pi, _ in _mixed_problems():
+        both = max(weighted_directed_deficiency(t, u, pi).delta, weighted_directed_deficiency(u, t, pi).delta)
+        assert abs(weighted_deficiency(t, u, pi) - both) <= 1e-12
+
+
+def test_weighted_batch_checks_every_problem():
+    rng = np.random.default_rng(21)
+    theta, other = FiniteSpace.of_size(2, "t"), FiniteSpace.of_size(3, "s")
+    t = random_kernel(rng, theta, FiniteSpace.of_size(2, "x"))
+    good = (t, t, uniform(theta))
+    with pytest.raises(SpaceMismatchError, match="prior"):
+        _weighted_batch([good, (t, t, uniform(other))])
+    with pytest.raises(SpaceMismatchError, match="share hypotheses"):
+        _weighted_batch([good, (t, random_kernel(rng, other, t.target), uniform(theta))])
+    assert _weighted_batch([]) == []
+
+
+def test_single_weighted_solve_makes_one_lp_call(linprog_calls):
+    _, theta, t, u = next(rng_instances(22, 1))
+    weighted_directed_deficiency(t, u, uniform(theta))
+    assert len(linprog_calls) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finexp.decisions import LossMatrix, _feature_gap, _value, feature_gap, value
-from finexp.deficiency import weighted_directed_deficiency
+from finexp.deficiency import weighted_deficiency, weighted_directed_deficiency
 from finexp.kernels import (
     Distribution,
     FiniteSpace,
@@ -15,7 +15,7 @@ from finexp.kernels import (
 )
 from finexp.reconstruction import _generic_quality, generic_quality
 from finexp.sampling import random_distribution, random_kernel, random_loss
-from finexp.verify import _SUITE_SALT, suite_quality_certificate
+from finexp.verify import SUITES, _SUITE_SALT, _batch_values, _problem, run_suite, suite_quality_certificate
 
 
 def reference_quality_certificate(rng, trials, max_dim, problems_per_encoder: int = 100):
@@ -48,6 +48,116 @@ def test_quality_certificate_matches_object_reference(seed):
     got = list(suite_quality_certificate(np.random.default_rng([seed, salt]), 20, 6))
     want = list(reference_quality_certificate(np.random.default_rng([seed, salt]), 20, 6))
     assert [tuple(c) for c in got] == want
+
+
+# Trial-by-trial references for the suites that batch their LPs: each trial
+# draws its instance and solves its LPs one call at a time before the next.
+
+
+def reference_randomization(rng, trials, max_dim):
+    for i in range(trials):
+        theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
+        actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
+        loss = random_loss(rng, theta, actions)
+        delta = weighted_directed_deficiency(t_exp, u_exp, prior).delta
+        lhs = value(loss, prior, t_exp)
+        rhs = value(loss, prior, u_exp) + delta * loss.sup_norm
+        yield (f"trial{i}", lhs - rhs, 1e-6)
+
+
+def reference_value_gap_bound(rng, trials, max_dim, losses_per_trial=500):
+    for i in range(trials):
+        theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
+        delta = weighted_deficiency(t_exp, u_exp, prior)
+        na = int(rng.integers(2, max(3, max_dim) + 1))
+        losses = rng.uniform(-1.0, 1.0, size=(losses_per_trial, theta.size, na))
+        norms = np.abs(losses).max(axis=(1, 2))
+        jt = t_exp.matrix * prior.mass[None, :]
+        ju = u_exp.matrix * prior.mass[None, :]
+        ratios = np.abs(_batch_values(jt, losses) - _batch_values(ju, losses)) / norms
+        yield (f"trial{i}", float(ratios.max()) - delta, 1e-6)
+
+
+def reference_binary_cost_sweep(rng, trials, max_dim, grid_points=200):
+    grid = np.linspace(1.0 / (grid_points + 1), grid_points / (grid_points + 1), grid_points)
+    cost_cols = np.stack([grid, -(1.0 - grid)], axis=1)
+    norms = np.maximum(grid, 1.0 - grid)
+    for i in range(trials):
+        theta = FiniteSpace.of_size(2, "t")
+        prior = random_distribution(rng, theta)
+        hi = min(max_dim, 4)
+        t_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "x"))
+        u_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "y"))
+        delta = weighted_deficiency(t_exp, u_exp, prior)
+        jt = t_exp.matrix * prior.mass[None, :]
+        ju = u_exp.matrix * prior.mass[None, :]
+        vt = np.minimum(jt @ cost_cols.T, -(jt @ cost_cols.T)).sum(axis=0)
+        vu = np.minimum(ju @ cost_cols.T, -(ju @ cost_cols.T)).sum(axis=0)
+        sampled = float((np.abs(vt - vu) / norms).max())
+        yield (f"trial{i}", delta - sampled, 0.05)
+
+
+def reference_encoder_shift_bound(rng, trials, max_dim):
+    for i in range(trials):
+        theta, prior, (t_exp,) = _problem(rng, max_dim, 1)
+        code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
+        encoder = random_kernel(rng, t_exp.target, code)
+        lhs = weighted_deficiency(t_exp, compose(encoder, t_exp), prior)
+        rhs = generic_quality(encoder, pushforward(t_exp, prior))
+        yield (f"trial{i}", lhs - rhs, 1e-6)
+
+
+def reference_triangle(rng, trials, max_dim):
+    for i in range(trials):
+        theta, prior, (t1, t2, t3) = _problem(rng, max_dim, 3)
+        d12 = weighted_deficiency(t1, t2, prior)
+        d23 = weighted_deficiency(t2, t3, prior)
+        d13 = weighted_deficiency(t1, t3, prior)
+        yield (f"trial{i}_triangle", d13 - (d12 + d23), 1e-6)
+        yield (f"trial{i}_self", weighted_directed_deficiency(t1, t1, prior).delta, 1e-7)
+
+
+def reference_oracle_generic(rng, trials, max_dim):
+    for i in range(trials):
+        n = int(rng.integers(2, max_dim + 1))
+        nz = int(rng.integers(1, max_dim + 1))
+        prior = random_distribution(rng, FiniteSpace.of_size(n, "x"))
+        encoder = random_kernel(rng, prior.space, FiniteSpace.of_size(nz, "z"))
+        lp = weighted_directed_deficiency(encoder, identity(prior.space), prior).delta
+        yield (f"trial{i}", abs(generic_quality(encoder, prior) - lp), 1e-6)
+
+
+#: suite -> (trial-by-trial reference, max_dim, names of the checks that use no LP delta)
+LP_SUITE_REFERENCES = {
+    "randomization": (reference_randomization, 6, ()),
+    "value_gap_bound": (reference_value_gap_bound, 6, ()),
+    "binary_cost_sweep": (reference_binary_cost_sweep, 4, ()),
+    "encoder_shift_bound": (reference_encoder_shift_bound, 6, ()),
+    "quality_certificate": (reference_quality_certificate, 6, ("_bound",)),
+    "triangle": (reference_triangle, 6, ()),
+    "oracle_generic": (reference_oracle_generic, 6, ()),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", sorted(LP_SUITE_REFERENCES))
+def test_batched_suite_matches_trial_by_trial_reference(name, seed):
+    reference, max_dim, exact = LP_SUITE_REFERENCES[name]
+    salt = _SUITE_SALT[name]
+    got = list(SUITES[name](np.random.default_rng([seed, salt]), 20, max_dim))
+    want = list(reference(np.random.default_rng([seed, salt]), 20, max_dim))
+    assert [(c.name, c.tolerance) for c in got] == [(n, tol) for n, _, tol in want]
+    for check, (_, violation, _) in zip(got, want):
+        if check.name.endswith(exact):
+            assert check.violation == violation, check.name
+        else:
+            assert abs(check.violation - violation) <= 1e-12, check.name
+
+
+def test_triangle_batches_its_lps(linprog_calls):
+    # 20 trials of 7 LPs each: 140 calls one at a time
+    run_suite("triangle", 20, 0, 6)
+    assert 0 < len(linprog_calls) <= 20
 
 
 def _instances(n):
