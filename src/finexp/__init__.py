@@ -27,8 +27,6 @@ from .deficiency import (
     directed_deficiency,
     weighted_deficiency,
     weighted_directed_deficiency,
-    weighted_objective,
-    worst_case_objective,
 )
 from .fileio import ExperimentFile, SchemaError, load_experiment, save_experiment
 from .kernels import (
@@ -112,7 +110,5 @@ __all__ = [
     "variational_divergence",
     "weighted_deficiency",
     "weighted_directed_deficiency",
-    "weighted_objective",
-    "worst_case_objective",
     "zero_one_loss",
 ]

@@ -4,8 +4,10 @@ How far one experiment is from simulating another: the prior-weighted
 directed deficiency is the smallest average l1 error achievable by
 post-processing, the directed deficiency takes the worst case over
 hypotheses (equivalently, the supremum over priors), and the weighted
-deficiency symmetrizes.  Every solve returns the optimizing post-processing
-kernel as a feasibility witness together with a residual certificate.
+deficiency symmetrizes.  The public functions check spaces once; the two
+that return a ``DeficiencyResult`` also build the optimizing
+post-processing kernel as a feasibility witness, and the gap between its
+residual and delta.  The ``_``-prefixed core takes and returns arrays.
 
 Both variants share one block of rows over the witness V (columns are
 output distributions per observed symbol): the entries (V T)[y, theta] and
@@ -70,23 +72,11 @@ class DeficiencyResult:
     objective_gap: float
 
 
-def weighted_objective(
-    first: MarkovKernel, second: MarkovKernel, prior: Distribution, v: MarkovKernel
-) -> float:
-    """Prior-averaged l1 residual of approximating ``second`` by ``v . first``."""
-    resid = second.matrix - v.matrix @ first.matrix
-    return float(prior.mass @ np.abs(resid).sum(axis=0))
-
-
-def worst_case_objective(first: MarkovKernel, second: MarkovKernel, v: MarkovKernel) -> float:
-    """Largest per-hypothesis l1 residual of approximating ``second`` by ``v . first``."""
-    resid = second.matrix - v.matrix @ first.matrix
-    return float(np.abs(resid).sum(axis=0).max())
-
-
-def _check_pair(first: MarkovKernel, second: MarkovKernel) -> None:
+def _check_pair(first: MarkovKernel, second: MarkovKernel, prior: Distribution | None = None) -> None:
     if first.source != second.source:
         raise _mismatch("deficiency: experiments must share hypotheses", first.source, second.source)
+    if prior is not None and prior.space != first.source:
+        raise _mismatch("deficiency: prior", first.source, prior.space)
 
 
 def _solve(variant, c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=(0, None), options=None):
@@ -122,6 +112,11 @@ def _witness_kernel(v: np.ndarray, first: MarkovKernel, second: MarkovKernel) ->
     return MarkovKernel(first.target, second.target, v / sums)
 
 
+def _residual_norms(first: np.ndarray, second: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The l1 error, per hypothesis, of simulating ``second`` by ``v @ first``."""
+    return np.abs(second - v @ first).sum(axis=0)
+
+
 #: An LP matrix of at most this many cells goes to the solver dense, a larger
 #: one sparse, and weighted problems are stacked into one LP while the stacked
 #: matrix stays within it.  Small, scipy's sparse front end adds up to 0.4 ms
@@ -147,42 +142,38 @@ def _matrix(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple[i
     return coo_array((data, (rows, cols)), shape=shape)
 
 
-def _block(first: MarkovKernel, second: MarkovKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block(first: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows (V T)[y, theta] over the variables V[y, x], then the column sums of V.
 
-    Row ``y*nt + theta`` is the entry (y, theta) of V T and row ``ny*nt + x``
-    the sum of column x of V; variable ``y*nx + x`` is V[y, x].  Returns the
-    nonzero entries as (rows, cols, data).
+    ``first`` is T, shape (nx, nt).  Row ``y*nt + theta`` is the entry
+    (y, theta) of V T and row ``ny*nt + x`` the sum of column x of V;
+    variable ``y*nx + x`` is V[y, x].  Returns the nonzero entries as
+    (rows, cols, data).
     """
-    nx, ny, nt = first.target.size, second.target.size, first.source.size
-    x, theta = np.nonzero(first.matrix)
+    nx, nt = first.shape
+    x, theta = np.nonzero(first)
     y = np.repeat(np.arange(ny), x.size)
     rows = np.concatenate([y * nt + np.tile(theta, ny), ny * nt + np.tile(np.arange(nx), ny)])
     cols = np.concatenate([y * nx + np.tile(x, ny), np.arange(ny * nx)])
-    data = np.concatenate([np.tile(first.matrix[x, theta], ny), np.ones(ny * nx)])
+    data = np.concatenate([np.tile(first[x, theta], ny), np.ones(ny * nx)])
     return rows, cols, data
 
 
-def _weighted_batch(problems) -> list[DeficiencyResult]:
-    """Weighted directed deficiencies of (first, second, prior) triples, in input order.
+def _weighted_batch(problems) -> list[tuple[float, np.ndarray]]:
+    """Weighted directed deficiencies of (T, U, prior mass) array triples, in input order.
 
-    The duals of different problems share no variable, so consecutive
-    problems are stacked as the blocks of one block-diagonal LP while the
-    stacked matrix has at most ``_DENSE_CELLS`` cells; that LP's optimum
-    restricted to a block is the block's own optimum.  A problem too large
-    for the cap is solved on its own, and its matrix goes sparse.
+    Returns (delta, V) per problem, V being the raw multiplier block of
+    shape (ny, nx).  The duals of different problems share no variable, so
+    consecutive problems are stacked as the blocks of one block-diagonal LP
+    while the stacked matrix has at most ``_DENSE_CELLS`` cells; that LP's
+    optimum restricted to a block is the block's own optimum.  A problem too
+    large for the cap is solved on its own, and its matrix goes sparse.
     """
-    problems = list(problems)
-    for first, second, prior in problems:
-        _check_pair(first, second)
-        if prior.space != first.source:
-            raise _mismatch("deficiency: prior", first.source, prior.space)
-    results: list[DeficiencyResult] = []
+    results: list[tuple[float, np.ndarray]] = []
     group: list[tuple] = []
     rows = cols = 0
     for problem in problems:
-        first, second, _ = problem
-        nx, ny, nt = first.target.size, second.target.size, first.source.size
+        (nx, nt), ny = problem[0].shape, problem[1].shape[0]
         r, c = ny * nx, ny * nt + nx
         if group and (rows + r) * (cols + c) > _DENSE_CELLS:
             results += _weighted_group(group, (rows, cols))
@@ -194,16 +185,16 @@ def _weighted_batch(problems) -> list[DeficiencyResult]:
     return results
 
 
-def _weighted_group(group: list[tuple], shape: tuple[int, int]) -> list[DeficiencyResult]:
+def _weighted_group(group: list[tuple], shape: tuple[int, int]) -> list[tuple[float, np.ndarray]]:
     """Solve the stacked duals of one group; entries are (problem, row offset, column offset)."""
     c, lower, upper, a_rows, a_cols, a_data = [], [], [], [], [], []
-    for (first, second, prior), row0, col0 in group:
-        nx, ny, nt = first.target.size, second.target.size, first.source.size
+    for (first, second, mass), row0, col0 in group:
+        (nx, nt), ny = first.shape, second.shape[0]
         # the dual of the half-l1 program: z[y, theta] in [0, 2 prior(theta)], mu[x] free
-        c += [-second.matrix.reshape(-1), -np.ones(nx)]
+        c += [-second.reshape(-1), -np.ones(nx)]
         lower += [np.zeros(ny * nt), np.full(nx, -np.inf)]
-        upper += [np.tile(2.0 * prior.mass, ny), np.full(nx, np.inf)]
-        rows, cols, data = _block(first, second)
+        upper += [np.tile(2.0 * mass, ny), np.full(nx, np.inf)]
+        rows, cols, data = _block(first, ny)
         a_rows.append(row0 + cols)  # the block's transpose
         a_cols.append(col0 + rows)
         a_data.append(data)
@@ -217,14 +208,12 @@ def _weighted_group(group: list[tuple], shape: tuple[int, int]) -> list[Deficien
     # V is the multiplier of the rows z T + mu <= 0, negated because linprog minimizes
     v_all = -res.ineqlin.marginals
     out = []
-    for (first, second, prior), row0, col0 in group:
-        nx, ny, nt = first.target.size, second.target.size, first.source.size
+    for (first, second, _), row0, col0 in group:
+        (nx, nt), ny = first.shape, second.shape[0]
         block = slice(col0, col0 + ny * nt + nx)
-        witness = _witness_kernel(v_all[row0:row0 + ny * nx].reshape(ny, nx), first, second)
         # summed left to right, as HiGHS sums its objective
         delta = max(0.0, -float(np.cumsum(c[block] * res.x[block])[-1]))
-        gap = abs(weighted_objective(first, second, prior, witness) - delta)
-        out.append(DeficiencyResult(delta=delta, witness=witness, objective_gap=gap))
+        out.append((delta, v_all[row0:row0 + ny * nx].reshape(ny, nx)))
     return out
 
 
@@ -235,15 +224,20 @@ def weighted_directed_deficiency(
 
     Hypotheses carrying zero prior mass simply drop out of the objective.
     """
-    return _weighted_batch([(first, second, prior)])[0]
+    _check_pair(first, second, prior)
+    ((delta, v),) = _weighted_batch([(first.matrix, second.matrix, prior.mass)])
+    witness = _witness_kernel(v, first, second)
+    residual = float(prior.mass @ _residual_norms(first.matrix, second.matrix, witness.matrix))
+    return DeficiencyResult(delta=delta, witness=witness, objective_gap=abs(residual - delta))
 
 
 def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> DeficiencyResult:
     """Worst case over hypotheses (equivalently priors) of the simulation error."""
     _check_pair(first, second)
-    nx, ny, nt = first.target.size, second.target.size, first.source.size
+    t, u = first.matrix, second.matrix
+    (nx, nt), ny = t.shape, u.shape[0]
     nv, nr = ny * nx, ny * nt
-    rows, cols, data = _block(first, second)
+    rows, cols, data = _block(t, ny)
     top, r = rows < nr, np.arange(nr)
     # U - V T <= r, and every per-hypothesis sum of r at most t
     a_ub = _matrix(
@@ -252,18 +246,20 @@ def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> Deficiency
         np.concatenate([-data[top], np.full(nr, -1.0), np.ones(nr), np.full(nt, -1.0)]),
         (nr + nt, nv + nr + 1),
     )
-    b_ub = np.concatenate([-second.matrix.reshape(-1), np.zeros(nt)])
+    b_ub = np.concatenate([-u.reshape(-1), np.zeros(nt)])
     a_eq = _matrix(rows[~top] - nr, cols[~top], data[~top], (nx, nv + nr + 1))
     c = np.zeros(nv + nr + 1)
     c[-1] = 2.0
     res = _solve("sup", c, a_ub, b_ub, a_eq, np.ones(nx))
     witness = _witness_kernel(res.x[:nv].reshape(ny, nx), first, second)
     delta = max(0.0, float(res.fun))
-    gap = abs(worst_case_objective(first, second, witness) - delta)
-    return DeficiencyResult(delta=delta, witness=witness, objective_gap=gap)
+    residual = float(_residual_norms(t, u, witness.matrix).max())
+    return DeficiencyResult(delta=delta, witness=witness, objective_gap=abs(residual - delta))
 
 
 def weighted_deficiency(first: MarkovKernel, second: MarkovKernel, prior: Distribution) -> float:
     """Symmetrized weighted deficiency: max of the two directed solves."""
-    d12, d21 = _weighted_batch([(first, second, prior), (second, first, prior)])
-    return max(d12.delta, d21.delta)
+    _check_pair(first, second, prior)
+    t, u, mass = first.matrix, second.matrix, prior.mass
+    (d12, _), (d21, _) = _weighted_batch([(t, u, mass), (u, t, mass)])
+    return max(d12, d21)

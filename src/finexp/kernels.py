@@ -118,17 +118,11 @@ def point_mass(space: FiniteSpace, label: str) -> Distribution:
 
 @dataclass(frozen=True, eq=False)
 class MarkovKernel:
-    """Column-stochastic matrix: column x holds the output distribution for input x.
-
-    ``filled_columns`` records input indices whose column was synthesized by
-    convention (conditioning on a zero-probability event) rather than derived
-    from the data; computations weight those columns by zero.
-    """
+    """Column-stochastic matrix: column x holds the output distribution for input x."""
 
     source: FiniteSpace
     target: FiniteSpace
     matrix: np.ndarray
-    filled_columns: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
@@ -141,7 +135,6 @@ class MarkovKernel:
         m = _normalize_columns(m, "kernel")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "filled_columns", tuple(int(j) for j in self.filled_columns))
 
     def column(self, x: int) -> Distribution:
         return Distribution(self.target, self.matrix[:, x])
@@ -206,14 +199,14 @@ def bayes_inverse(kernel: MarkovKernel, prior: Distribution) -> MarkovKernel:
     """Reverse a kernel through a prior.
 
     Column x of the result is the conditional distribution over inputs given
-    output x.  Outputs with zero marginal mass get a uniform column and are
-    reported in ``filled_columns``; anything downstream weights them by zero,
-    so the convention is observationally neutral.
+    output x.  Outputs with zero marginal mass get a uniform column; anything
+    downstream weights them by zero, so the convention is observationally
+    neutral.
     """
     if prior.space != kernel.source:
         raise _mismatch("bayes_inverse", kernel.source, prior.space)
-    post, filled = _bayes_inverse_matrix(kernel.matrix, prior.mass)
-    return MarkovKernel(kernel.target, kernel.source, post, filled_columns=filled)
+    post, _ = _bayes_inverse_matrix(kernel.matrix, prior.mass)
+    return MarkovKernel(kernel.target, kernel.source, post)
 
 
 def variational_divergence(p: Distribution, q: Distribution) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from .bottleneck import ib_distortion, ib_learn
 from .decisions import _feature_gap, feature_gap, regret, value
 from .deficiency import _weighted_batch
-from .kernels import Distribution, FiniteSpace, bayes_inverse, compose, identity, pushforward
+from .kernels import FiniteSpace, bayes_inverse, compose, pushforward
 from .reconstruction import _generic_quality, autoencode, generic_quality, hellman_raviv_check, stack
 from .sampling import _random_columns, random_distribution, random_kernel, random_loss
 
@@ -86,13 +86,13 @@ def _problem(rng, max_dim, n_outputs=1):
 
 
 def _deltas(problems) -> list[float]:
-    """Weighted directed deficiencies of (first, second, prior) triples, solved as one batch."""
-    return [res.delta for res in _weighted_batch(problems)]
+    """Weighted directed deficiencies of (T, U, prior mass) array triples, solved as one batch."""
+    return [delta for delta, _ in _weighted_batch(problems)]
 
 
 def _symmetric(pairs) -> list[float]:
-    """Symmetric weighted deficiencies of (first, second, prior) triples, solved as one batch."""
-    both = _deltas([p for t, u, prior in pairs for p in ((t, u, prior), (u, t, prior))])
+    """Symmetric weighted deficiencies of (T, U, prior mass) array triples, solved as one batch."""
+    both = _deltas([p for t, u, mass in pairs for p in ((t, u, mass), (u, t, mass))])
     return [max(d12, d21) for d12, d21 in zip(both[::2], both[1::2])]
 
 
@@ -108,7 +108,7 @@ def suite_randomization(rng, trials, max_dim) -> Iterable[Check]:
         theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
         actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
         drawn.append((prior, t_exp, u_exp, random_loss(rng, theta, actions)))
-    deltas = _deltas((t_exp, u_exp, prior) for prior, t_exp, u_exp, _ in drawn)
+    deltas = _deltas((t_exp.matrix, u_exp.matrix, prior.mass) for prior, t_exp, u_exp, _ in drawn)
     for i, ((prior, t_exp, u_exp, loss), delta) in enumerate(zip(drawn, deltas)):
         lhs = value(loss, prior, t_exp)
         rhs = value(loss, prior, u_exp) + delta * loss.sup_norm
@@ -127,14 +127,18 @@ def suite_value_gap_bound(rng, trials, max_dim, losses_per_trial: int = 500) -> 
         jt = t_exp.matrix * prior.mass[None, :]
         ju = u_exp.matrix * prior.mass[None, :]
         ratios = np.abs(_batch_values(jt, losses) - _batch_values(ju, losses)) / norms
-        drawn.append((t_exp, u_exp, prior))
+        drawn.append((t_exp.matrix, u_exp.matrix, prior.mass))
         sampled.append(float(ratios.max()))
     for i, (ratio, delta) in enumerate(zip(sampled, _symmetric(drawn))):
         yield Check(f"trial{i}", ratio - delta, 1e-6)
 
 
 def suite_binary_cost_sweep(rng, trials, max_dim, grid_points: int = 200) -> Iterable[Check]:
-    """On binary hypotheses a cost-sweep of two-action losses nearly attains the deficiency.
+    """On binary hypotheses a cost-sweep of two-action losses comes within 0.05 of the deficiency.
+
+    This is a sampled property, not a theorem: no two-action gap exceeds the
+    deficiency, but the best one can fall short of it by more than 0.05, and
+    the suite fails on some seeds at ``max_dim`` 6.
 
     The sweep uses per-hypothesis-centered costs: recentering rows changes
     no value difference but halves the sup-norm, and without it the sampled
@@ -150,10 +154,10 @@ def suite_binary_cost_sweep(rng, trials, max_dim, grid_points: int = 200) -> Ite
         prior = random_distribution(rng, theta)
         t_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "x"))
         u_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "y"))
-        drawn.append((t_exp, u_exp, prior))
-    for i, ((t_exp, u_exp, prior), delta) in enumerate(zip(drawn, _symmetric(drawn))):
-        jt = t_exp.matrix * prior.mass[None, :]
-        ju = u_exp.matrix * prior.mass[None, :]
+        drawn.append((t_exp.matrix, u_exp.matrix, prior.mass))
+    for i, ((t, u, mass), delta) in enumerate(zip(drawn, _symmetric(drawn))):
+        jt = t * mass[None, :]
+        ju = u * mass[None, :]
         # two centered actions means the per-symbol minimum is -|.|
         vt = np.minimum(jt @ cost_cols.T, -(jt @ cost_cols.T)).sum(axis=0)
         vu = np.minimum(ju @ cost_cols.T, -(ju @ cost_cols.T)).sum(axis=0)
@@ -168,7 +172,9 @@ def suite_encoder_shift_bound(rng, trials, max_dim) -> Iterable[Check]:
         theta, prior, (t_exp,) = _problem(rng, max_dim, 1)
         code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
         drawn.append((prior, t_exp, random_kernel(rng, t_exp.target, code)))
-    shifts = _symmetric((t_exp, compose(encoder, t_exp), prior) for prior, t_exp, encoder in drawn)
+    shifts = _symmetric(
+        (t_exp.matrix, encoder.matrix @ t_exp.matrix, prior.mass) for prior, t_exp, encoder in drawn
+    )
     for i, ((prior, t_exp, encoder), lhs) in enumerate(zip(drawn, shifts)):
         rhs = generic_quality(encoder, pushforward(t_exp, prior))
         yield Check(f"trial{i}", lhs - rhs, 1e-6)
@@ -203,7 +209,7 @@ def suite_quality_certificate(rng, trials, max_dim, problems_per_encoder: int = 
             gap = _feature_gap(encoder.matrix, t_matrix, mass, loss_values)
             worst = max(worst, gap - eps * float(np.abs(loss_values).max()))
         bounds.append((worst, eps))
-        cross.append((encoder, identity(x_space), Distribution(x_space, data_mass)))
+        cross.append((encoder.matrix, np.eye(x_space.size), data_mass))
     for i, ((worst, eps), lp) in enumerate(zip(bounds, _deltas(cross))):
         yield Check(f"trial{i}_bound", worst, 1e-6)
         yield Check(f"trial{i}_lp_match", abs(eps - lp), 1e-6)
@@ -225,7 +231,7 @@ def suite_triangle(rng, trials, max_dim) -> Iterable[Check]:
     drawn = [_problem(rng, max_dim, 3) for _ in range(trials)]
     # per trial: both directions of (1, 2), (2, 3) and (1, 3), then 1 against itself
     deltas = _deltas(
-        (a, b, prior)
+        (a.matrix, b.matrix, prior.mass)
         for _, prior, (t1, t2, t3) in drawn
         for a, b in ((t1, t2), (t2, t1), (t2, t3), (t3, t2), (t1, t3), (t3, t1), (t1, t1))
     )
@@ -324,7 +330,7 @@ def suite_oracle_generic(rng, trials, max_dim) -> Iterable[Check]:
         nz = int(rng.integers(1, max_dim + 1))
         prior = random_distribution(rng, FiniteSpace.of_size(n, "x"))
         drawn.append((prior, random_kernel(rng, prior.space, FiniteSpace.of_size(nz, "z"))))
-    lps = _deltas((encoder, identity(prior.space), prior) for prior, encoder in drawn)
+    lps = _deltas((encoder.matrix, np.eye(prior.space.size), prior.mass) for prior, encoder in drawn)
     for i, ((prior, encoder), lp) in enumerate(zip(drawn, lps)):
         yield Check(f"trial{i}", abs(generic_quality(encoder, prior) - lp), 1e-6)
 

@@ -11,8 +11,6 @@ from finexp.deficiency import (
     directed_deficiency,
     weighted_deficiency,
     weighted_directed_deficiency,
-    weighted_objective,
-    worst_case_objective,
 )
 from finexp.kernels import (
     Distribution,
@@ -25,6 +23,16 @@ from finexp.kernels import (
     uninformative,
 )
 from finexp.sampling import random_deterministic_kernel, random_distribution, random_kernel, random_loss
+from finexp.verify import run_suite
+
+
+def residuals(first, second, v):
+    """Per-hypothesis l1 error of simulating ``second`` by ``v . first``, the reference for every gap."""
+    return np.abs(second.matrix - v.matrix @ first.matrix).sum(axis=0)
+
+
+def weighted_residual(first, second, prior, v):
+    return float(prior.mass @ residuals(first, second, v))
 
 
 def rng_instances(seed, trials, nt=(2, 4), nx=(2, 4), ny=(2, 4)):
@@ -64,7 +72,7 @@ class TestWeightedDirected:
             m = np.zeros((2, 1))
             m[target, 0] = 1.0
             v = MarkovKernel(point.target, theta, m)
-            best = min(best, weighted_objective(point, identity(theta), pi, v))
+            best = min(best, weighted_residual(point, identity(theta), pi, v))
         res = weighted_directed_deficiency(point, identity(theta), pi)
         assert res.delta == pytest.approx(best, abs=1e-8)
 
@@ -75,7 +83,7 @@ class TestWeightedDirected:
             sums = res.witness.matrix.sum(axis=0)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
             assert np.all(res.witness.matrix >= 0)
-            recomputed = weighted_objective(t, u, pi, res.witness)
+            recomputed = weighted_residual(t, u, pi, res.witness)
             assert abs(recomputed - res.delta) <= 1e-6
             assert 0.0 <= res.delta <= 2.0
 
@@ -87,7 +95,7 @@ class TestWeightedDirected:
         pi = Distribution(theta, [0.5, 0.5, 0.0])
         res = weighted_directed_deficiency(t, u, pi)
         assert res.delta >= -1e-12
-        assert abs(weighted_objective(t, u, pi, res.witness) - res.delta) <= 1e-6
+        assert abs(weighted_residual(t, u, pi, res.witness) - res.delta) <= 1e-6
 
     def test_space_mismatch(self):
         t = random_kernel(np.random.default_rng(0), FiniteSpace.of_size(2, "t"), FiniteSpace.of_size(2, "x"))
@@ -116,7 +124,7 @@ class TestDirected:
     def test_witness_consistent(self):
         for _, _, t, u in rng_instances(6, 5):
             res = directed_deficiency(t, u)
-            assert abs(worst_case_objective(t, u, res.witness) - res.delta) <= 1e-6
+            assert abs(residuals(t, u, res.witness).max() - res.delta) <= 1e-6
 
 
 class TestWeighted:
@@ -339,11 +347,11 @@ def test_block_holds_the_nonzero_entries_of_the_dense_layout():
     m = rng.dirichlet(np.ones(x.size), size=theta.size).T
     m[1:3, 0] = 0.0
     m[:, 2] = np.eye(x.size)[4]
-    first = MarkovKernel(theta, x, m / m.sum(axis=0))
+    first = MarkovKernel(theta, x, m / m.sum(axis=0)).matrix
     dense = np.vstack(
-        [np.kron(np.eye(y.size), first.matrix.T), np.kron(np.ones((1, y.size)), np.eye(x.size))]
+        [np.kron(np.eye(y.size), first.T), np.kron(np.ones((1, y.size)), np.eye(x.size))]
     )
-    rows, cols, data = _block(first, random_kernel(rng, theta, y))
+    rows, cols, data = _block(first, y.size)
     np.testing.assert_array_equal(_matrix(rows, cols, data, dense.shape), dense)
     # no stored zeros, so a sparse matrix gives the solver the same model as dense
     assert np.all(data != 0) and data.size == np.count_nonzero(dense)
@@ -413,19 +421,20 @@ def test_weighted_batch_matches_single_solves(linprog_calls):
     problems = _mixed_problems()
     singles = [weighted_directed_deficiency(t, u, pi) for t, u, pi, _ in problems]
     del linprog_calls[:]
-    batch = _weighted_batch((t, u, pi) for t, u, pi, _ in problems)
+    batch = _weighted_batch((t.matrix, u.matrix, pi.mass) for t, u, pi, _ in problems)
     assert len(batch) == len(problems)
     # a few groups of dense small problems, and the n = 32 problem alone and sparse
     assert len(linprog_calls) < len(problems) // 4
     assert [a.shape for a in linprog_calls if not isinstance(a, np.ndarray)] == [(1024, 1056)]
-    for (t, u, pi, degenerate), res, single in zip(problems, batch, singles):
-        assert res.witness.matrix.shape == (u.target.size, t.target.size)
-        assert abs(res.delta - single.delta) <= 1e-12
-        np.testing.assert_allclose(res.witness.matrix.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(res.witness.matrix >= 0)
-        assert res.objective_gap <= 1e-9
+    for (t, u, pi, degenerate), (delta, v), single in zip(problems, batch, singles):
+        assert v.shape == (u.target.size, t.target.size)
+        assert abs(delta - single.delta) <= 1e-12
+        witness = deficiency._witness_kernel(v, t, u)
+        np.testing.assert_allclose(witness.matrix.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(witness.matrix >= 0)
+        assert abs(weighted_residual(t, u, pi, witness) - delta) <= 1e-9
         if degenerate:
-            assert res.delta <= 1e-8
+            assert delta <= 1e-8
 
 
 def test_weighted_deficiency_is_the_larger_single_solve():
@@ -434,16 +443,34 @@ def test_weighted_deficiency_is_the_larger_single_solve():
         assert abs(weighted_deficiency(t, u, pi) - both) <= 1e-12
 
 
-def test_weighted_batch_checks_every_problem():
+def test_public_functions_check_spaces():
     rng = np.random.default_rng(21)
     theta, other = FiniteSpace.of_size(2, "t"), FiniteSpace.of_size(3, "s")
     t = random_kernel(rng, theta, FiniteSpace.of_size(2, "x"))
-    good = (t, t, uniform(theta))
-    with pytest.raises(SpaceMismatchError, match="prior"):
-        _weighted_batch([good, (t, t, uniform(other))])
+    alien = random_kernel(rng, other, t.target)
+    for fn in (weighted_directed_deficiency, weighted_deficiency):
+        with pytest.raises(SpaceMismatchError, match="prior"):
+            fn(t, t, uniform(other))
+        with pytest.raises(SpaceMismatchError, match="share hypotheses"):
+            fn(t, alien, uniform(theta))
     with pytest.raises(SpaceMismatchError, match="share hypotheses"):
-        _weighted_batch([good, (t, random_kernel(rng, other, t.target), uniform(theta))])
+        directed_deficiency(t, alien)
     assert _weighted_batch([]) == []
+
+
+LP_SUITES = ["randomization", "value_gap_bound", "binary_cost_sweep", "encoder_shift_bound",
+             "quality_certificate", "triangle", "oracle_generic"]
+
+
+def test_witness_built_only_where_returned(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a witness kernel was built for a solve that returns none")
+
+    monkeypatch.setattr(deficiency, "_witness_kernel", refuse)
+    for name in LP_SUITES:
+        assert run_suite(name, trials=5, seed=0, max_dim=4).checks > 0
+    _, theta, t, u = next(rng_instances(23, 1))
+    assert weighted_deficiency(t, u, uniform(theta)) >= 0.0
 
 
 def test_single_weighted_solve_makes_one_lp_call(linprog_calls):

@@ -149,20 +149,20 @@ class TestBayesInverse:
         x = FiniteSpace.of_size(2)
         inv = bayes_inverse(identity(x), uniform(x))
         np.testing.assert_allclose(inv.matrix, np.eye(2))
-        assert inv.filled_columns == ()
 
     def test_symmetric_channel_is_self_inverse(self):
         t = bsc(0.1)
         inv = bayes_inverse(t, uniform(t.source))
         np.testing.assert_allclose(inv.matrix, t.matrix)
 
-    def test_zero_marginal_column_flagged_uniform(self):
-        theta = FiniteSpace.of_size(2, "t")
+    def test_zero_marginal_column_uniform(self):
+        theta = FiniteSpace.of_size(3, "t")
         x = FiniteSpace.of_size(3, "x")
-        never = MarkovKernel(theta, x, [[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
-        inv = bayes_inverse(never, uniform(theta))
-        assert inv.filled_columns == (2,)
-        np.testing.assert_allclose(inv.matrix[:, 2], [0.5, 0.5])
+        never = MarkovKernel(theta, x, [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+        inv = bayes_inverse(never, Distribution(theta, [0.5, 0.5, 0.0]))
+        np.testing.assert_array_equal(inv.matrix[:, 2], np.full(3, 1.0 / 3))
+        # the live columns are the posteriors, with no mass on the zero-prior hypothesis
+        np.testing.assert_allclose(inv.matrix[:, :2], [[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
 
     def test_matches_per_column_loop(self):
         # reference: divide each joint row by its marginal, uniform where it is 0
@@ -179,16 +179,15 @@ class TestBayesInverse:
             jm = k.matrix * p.mass[None, :]
             marginal = jm.sum(axis=1)
             ref = np.empty((nt, nx))
-            filled = []
             for x in range(nx):
                 if marginal[x] > 0:
                     ref[:, x] = jm[x, :] / marginal[x]
                 else:
                     ref[:, x] = 1.0 / nt
-                    filled.append(x)
             inv = bayes_inverse(k, p)
             np.testing.assert_array_equal(inv.matrix, ref)
-            assert inv.filled_columns == tuple(filled)
+            # every zero-marginal output gets the uniform column, exactly
+            np.testing.assert_array_equal(inv.matrix[:, marginal == 0], 1.0 / nt)
 
     @settings(max_examples=80)
     @given(strat.experiments())
