@@ -31,6 +31,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_CONFORMANCE_ERROR = 3
 EXIT_SOLVER_FAULT = 4
 
+_IGNORED_SEED = "ignored: the optimal autoencoder is computed exactly, without randomness"
+
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -113,17 +115,12 @@ def _cmd_autoencode(args) -> int:
     _check_code_sizes(args, "--latent", [args.latent])
     ef = _load(args)
     prior = ef.distribution(args.prior)
-    res = autoencode(
-        prior, args.latent, max_iters=args.iters, restarts=args.restarts, seed=args.seed
-    )
+    res = autoencode(prior, args.latent)
     _emit(
         {
             "encoder": _matrix(res.encoder),
             "decoder": _matrix(res.decoder),
             "epsilon": float(res.epsilon),
-            "trace": [float(v) for v in res.trace],
-            "restarts_used": res.restarts_used,
-            "seed": res.seed,
         }
     )
     return EXIT_OK
@@ -134,7 +131,7 @@ def _cmd_stack(args) -> int:
     _check_code_sizes(args, "--sizes", sizes)
     ef = _load(args)
     prior = ef.distribution(args.prior)
-    chain = stack(prior, sizes, max_iters=args.iters, restarts=args.restarts, seed=args.seed)
+    chain = stack(prior, sizes)
     bound = float(sum(chain.layer_quality))
     _emit(
         {
@@ -223,22 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor-tol", type=_finite_nonnegative, default=1e-6, help="factorization tolerance")
     p.set_defaults(func=_cmd_deficiency)
 
-    p = sub.add_parser("autoencode", help="train a discrete autoencoder on a prior")
+    p = sub.add_parser("autoencode", help="optimal discrete autoencoder of a prior")
     add_file(p)
     p.add_argument("--prior", required=True)
     p.add_argument("--latent", type=int, required=True, help="code size")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_IGNORED_SEED)
     p.set_defaults(func=_cmd_autoencode)
 
-    p = sub.add_parser("stack", help="greedy layerwise autoencoder stack")
+    p = sub.add_parser("stack", help="greedy layerwise stack of optimal autoencoders")
     add_file(p)
     p.add_argument("--prior", required=True)
     p.add_argument("--sizes", required=True, help="comma-separated code sizes, e.g. 4,2")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_IGNORED_SEED)
     p.set_defaults(func=_cmd_stack)
 
     p = sub.add_parser("ib", help="information-bottleneck feature learner")

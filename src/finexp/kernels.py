@@ -102,9 +102,6 @@ class Distribution:
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
 
-    def __getitem__(self, label: str) -> float:
-        return float(self.mass[self.space.index(label)])
-
 
 def uniform(space: FiniteSpace) -> Distribution:
     return Distribution(space, np.full(space.size, 1.0 / space.size))

@@ -1,4 +1,4 @@
-"""Reconstruction quality of encoders and discrete autoencoder training.
+"""Reconstruction quality of encoders and optimal discrete autoencoders.
 
 An encoder's generic quality is twice the smallest achievable probability of
 failing to reconstruct the input from the code.  That number certifies the
@@ -6,7 +6,8 @@ encoder against every downstream task: whatever the loss, switching to the
 encoded data costs at most quality times the loss's sup-norm.  The quality
 of the best decoder has a closed form (decode each code to its most probable
 preimage), which the LP deficiency solver reproduces and the tests cross
-check.
+check.  The best autoencoder with k codes has one too: it keeps the k
+heaviest inputs, and its quality is twice the mass outside them.
 
 Public functions take validated objects and check their spaces; the
 ``_``-prefixed cores take plain arrays, so callers that have already
@@ -34,14 +35,13 @@ from .kernels import (
 
 @dataclass(frozen=True, eq=False)
 class AutoencoderResult:
-    """Trained encoder/decoder pair with its quality and optimization trace."""
+    """Optimal encoder/decoder pair and its quality."""
 
     encoder: MarkovKernel
     decoder: MarkovKernel
     epsilon: float
-    trace: tuple[float, ...]
-    restarts_used: int
-    seed: int
+    #: always 1, since the closed form has no restarts; perfbench's traced run reads it
+    restarts_used = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +57,6 @@ class FeatureChain:
         for lo, hi in zip(self.layers, self.layers[1:]):
             if hi.source != lo.target:
                 raise _mismatch("chain: adjacent layers", lo.target, hi.source)
-        bound = sum(self.layer_quality)
-        if self.total_quality > bound + 1e-6:
-            raise ValueError(
-                f"composed quality {self.total_quality} exceeds layer-sum bound {bound}"
-            )
 
 
 class HellmanRavivCheck(NamedTuple):
@@ -116,136 +111,75 @@ def _generic_quality(encoder_matrix: np.ndarray, mass: np.ndarray) -> float:
     return 2.0 * _missed_mass(_decoder(encoder_matrix, mass) @ encoder_matrix, mass)
 
 
-def _map_decode(f: np.ndarray, px: np.ndarray, k: int) -> np.ndarray:
-    """Best decoder for a deterministic encoder: heaviest member of each fiber."""
-    g = np.full(k, int(np.argmax(px)))
-    for z in range(k):
-        members = np.flatnonzero(f == z)
-        if members.size and px[members].max() > 0:
-            g[z] = members[np.argmax(px[members])]
-    return g
+def _encoder_sweep(g: np.ndarray, n: int) -> np.ndarray:
+    """Best deterministic encoder for a decoder ``g`` (code -> input).
 
-
-def _encoder_sweep(g: np.ndarray, px: np.ndarray, k: int) -> np.ndarray:
-    """Best deterministic encoder for a decoder.
-
-    Each input goes to the first code that decodes back to it.  Inputs no
-    code decodes to are indifferent (any code is an argmax for them), so
-    the positive-mass ones are routed to currently unused codes, which the
-    next decoder update then claims for them.
+    Each input goes to the first code that decodes back to it; no code
+    recovers any other input, so those go to code 0.
     """
-    nx = px.size
-    f = np.full(nx, -1)
-    for z in range(k):
-        if f[g[z]] == -1:
-            f[g[z]] = z
-    unused = [z for z in range(k) if z not in set(f[f >= 0])]
-    for x in range(nx):
-        if f[x] == -1:
-            if px[x] > 0 and unused:
-                f[x] = unused.pop(0)
-            else:
-                f[x] = 0
+    f = np.zeros(n, dtype=int)
+    kept, first = np.unique(g, return_index=True)
+    f[kept] = first
     return f
 
 
-def _recon_prob(f: np.ndarray, g: np.ndarray, px: np.ndarray) -> float:
-    return float(px[g[f] == np.arange(px.size)].sum())
+def autoencode(prior: Distribution, latent_size: int) -> AutoencoderResult:
+    """The optimal deterministic autoencoder with ``latent_size`` codes, in closed form.
 
+    An input is recovered only if some code decodes to it, so at most k
+    inputs are recovered, and the best success probability is the mass of
+    the k heaviest atoms.  Coding those one-to-one attains it, and
+    stochastic pairs cannot do better, since the success probability is
+    linear in the encoder and in the decoder.  Hence epsilon = 2 * (mass
+    outside the k heaviest atoms).
 
-def autoencode(
-    prior: Distribution,
-    latent_size: int,
-    max_iters: int = 100,
-    restarts: int = 16,
-    seed: int = 0,
-) -> AutoencoderResult:
-    """Alternating maximization of reconstruction probability over a finite code.
-
-    Both the encoder and decoder steps have deterministic optima (the
-    objective is linear in each argument), so the search alternates over
-    assignment vectors: decode each code to its heaviest preimage, then
-    re-encode each input to a code that recovers it.  Each sweep strictly
-    improves the objective or stops, so runs are finite; the joint problem
-    is non-convex, hence seeded random restarts.
+    Code z decodes to the z-th heaviest atom, ties going to the lowest
+    index; codes beyond the input size decode to the heaviest atom.  Every
+    input no code decodes to goes to code 0, the heaviest atom's code.
     """
     if latent_size < 1:
         raise ValueError("latent_size must be at least 1")
-    if restarts < 1 or max_iters < 1:
-        raise ValueError("restarts and max_iters must be at least 1")
-    rng = np.random.default_rng(seed)
     px = prior.mass
-    k = latent_size
-
-    best_f = best_g = None
-    best_obj = -1.0
-    best_trace: tuple[float, ...] = ()
-    used = 0
-    for _ in range(restarts):
-        used += 1
-        f = rng.integers(0, k, size=px.size)
-        g = _map_decode(f, px, k)
-        obj = _recon_prob(f, g, px)
-        trace = [obj]
-        for _ in range(max_iters):
-            f2 = _encoder_sweep(g, px, k)
-            g2 = _map_decode(f2, px, k)
-            obj2 = _recon_prob(f2, g2, px)
-            if obj2 <= obj:
-                break
-            f, g, obj = f2, g2, obj2
-            trace.append(obj)
-        if obj > best_obj:
-            best_f, best_g, best_obj, best_trace = f, g, obj, tuple(trace)
-        if best_obj >= 1.0 - 1e-12:
-            break
+    n, k = px.size, latent_size
+    order = np.argsort(-px, kind="stable")
+    g = np.full(k, order[0])
+    g[:n] = order[:k]
+    f = _encoder_sweep(g, n)
 
     latent = FiniteSpace.of_size(k, prefix="z")
-    enc = np.zeros((k, px.size))
-    enc[best_f, np.arange(px.size)] = 1.0
-    dec = np.zeros((px.size, k))
-    dec[best_g, np.arange(k)] = 1.0
+    enc = np.zeros((k, n))
+    enc[f, np.arange(n)] = 1.0
+    dec = np.zeros((n, k))
+    dec[g, np.arange(k)] = 1.0
     # summing the unrecovered mass avoids 1 - (sum ~ 1) cancellation, so a
     # lossless code reports exactly zero
-    missed = float(px[best_g[best_f] != np.arange(px.size)].sum())
+    missed = float(px[g[f] != np.arange(n)].sum())
     return AutoencoderResult(
         encoder=MarkovKernel(prior.space, latent, enc),
         decoder=MarkovKernel(latent, prior.space, dec),
         epsilon=2.0 * missed,
-        trace=best_trace,
-        restarts_used=used,
-        seed=seed,
     )
 
 
-def stack(
-    prior: Distribution,
-    sizes: list[int] | tuple[int, ...],
-    max_iters: int = 100,
-    restarts: int = 16,
-    seed: int = 0,
-) -> FeatureChain:
+def stack(prior: Distribution, sizes: list[int] | tuple[int, ...]) -> FeatureChain:
     """Greedy layerwise training: each layer autoencodes the previous layer's output prior.
 
     The end-to-end quality of the composed encoder never exceeds the sum of
     the per-layer qualities, so a deep code built this way inherits an
-    additive certificate from its layers.
+    additive certificate from its layers.  Each layer keeps its heaviest
+    atoms on codes in order of mass and merges the rest into code 0, which
+    stays the heaviest code, so the next layer keeps the same atoms in the
+    same order: the composed quality is the one-layer optimum at the
+    smallest size, 2 * (mass outside the min(sizes) heaviest atoms).
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    rng = np.random.default_rng(seed)
     layers: list[MarkovKernel] = []
     qualities: list[float] = []
     priors: list[Distribution] = []
     current = prior
     for k in sizes:
-        result = autoencode(
-            current,
-            int(k),
-            max_iters=max_iters,
-            restarts=restarts,
-            seed=int(rng.integers(0, 2**31 - 1)),
-        )
+        result = autoencode(current, int(k))
         layers.append(result.encoder)
         qualities.append(result.epsilon)
         current = pushforward(result.encoder, current)

@@ -8,14 +8,9 @@ from .decisions import LossMatrix
 from .kernels import Distribution, FiniteSpace, MarkovKernel
 
 
-def random_distribution(
-    rng: np.random.Generator, space: FiniteSpace, floor: float = 0.0
-) -> Distribution:
-    """Dirichlet draw; a positive floor mixes in the uniform to bound masses below."""
-    m = rng.dirichlet(np.ones(space.size))
-    if floor > 0:
-        m = (1.0 - floor * space.size) * m + floor
-    return Distribution(space, m)
+def random_distribution(rng: np.random.Generator, space: FiniteSpace) -> Distribution:
+    """Uniform Dirichlet draw."""
+    return Distribution(space, rng.dirichlet(np.ones(space.size)))
 
 
 def _random_columns(rng: np.random.Generator, n_source: int, n_target: int) -> np.ndarray:
@@ -35,11 +30,6 @@ def random_deterministic_kernel(
     return MarkovKernel(source, target, m)
 
 
-def random_loss(
-    rng: np.random.Generator,
-    theta: FiniteSpace,
-    actions: FiniteSpace,
-    low: float = -1.0,
-    high: float = 1.0,
-) -> LossMatrix:
-    return LossMatrix(theta, actions, rng.uniform(low, high, size=(theta.size, actions.size)))
+def random_loss(rng: np.random.Generator, theta: FiniteSpace, actions: FiniteSpace) -> LossMatrix:
+    """Losses drawn uniformly from [-1, 1]."""
+    return LossMatrix(theta, actions, rng.uniform(-1.0, 1.0, size=(theta.size, actions.size)))

@@ -189,10 +189,11 @@ class TestAutoencode:
         assert out["epsilon"] == 0.0
 
     def test_uniform4_two_codes(self, capsys, sample_file):
-        code, out = run(capsys, ["autoencode", sample_file, "--prior", "uniform4", "--latent", "2", "--seed", "5"])
+        code, out = run(capsys, ["autoencode", sample_file, "--prior", "uniform4", "--latent", "2"])
         assert code == 0
+        assert sorted(out) == ["decoder", "encoder", "epsilon"]
         assert out["epsilon"] == pytest.approx(1.0, abs=1e-12)
-        assert out["trace"] == sorted(out["trace"])
+        assert out["decoder"] == [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
     def test_latent_above_cap_exits_2(self, capsys, sample_file):
         code = main(["autoencode", sample_file, "--prior", "uniform4", "--latent", "33"])
@@ -200,11 +201,31 @@ class TestAutoencode:
         assert "--latent 33 exceeds the cap of 32" in capsys.readouterr().err
 
     def test_deterministic_bytes(self, capsys, sample_file):
-        argv = ["autoencode", sample_file, "--prior", "uniform4", "--latent", "2", "--seed", "7"]
+        argv = ["autoencode", sample_file, "--prior", "uniform4", "--latent", "2"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("command", ["autoencode", "stack"])
+    def test_seed_is_ignored(self, capsys, sample_file, command):
+        argv = [command, sample_file, "--prior", "uniform4"]
+        argv += ["--latent", "2"] if command == "autoencode" else ["--sizes", "3,2"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        for seed in ("7", "12345"):
+            assert main(argv + ["--seed", seed]) == 0
+            assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--iters"])
+    @pytest.mark.parametrize("command", ["autoencode", "stack"])
+    def test_search_flags_are_gone(self, capsys, sample_file, command, flag):
+        argv = [command, sample_file, "--prior", "uniform4"]
+        argv += ["--latent", "2"] if command == "autoencode" else ["--sizes", "3,2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestStack:
@@ -393,8 +414,8 @@ import finexp.cli
 sample = sys.argv[1]
 for argv in (
     ["value", sample, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one"],
-    ["autoencode", sample, "--prior", "pixels", "--latent", "3", "--restarts", "2"],
-    ["stack", sample, "--prior", "pixels", "--sizes", "4,2", "--restarts", "2"],
+    ["autoencode", sample, "--prior", "pixels", "--latent", "3"],
+    ["stack", sample, "--prior", "pixels", "--sizes", "4,2"],
     ["ib", sample, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2"],
 ):
     assert finexp.cli.main(argv) == 0, argv

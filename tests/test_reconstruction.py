@@ -8,6 +8,7 @@ from finexp.kernels import (
     Distribution,
     FiniteSpace,
     MarkovKernel,
+    SpaceMismatchError,
     compose,
     deterministic,
     identity,
@@ -108,35 +109,59 @@ class TestGenericQuality:
             assert generic_quality(enc, pi) == pytest.approx(lp, abs=1e-6)
 
 
+def top_k_quality(mass, k):
+    """Twice the mass outside the k heaviest atoms."""
+    return 2 * float(np.sort(mass)[::-1][k:].sum())
+
+
+def brute_force_quality(mass, k):
+    """Twice the least error over every deterministic encoder and decoder."""
+    n = len(mass)
+    decoders = np.array(list(itertools.product(range(n), repeat=k)))
+    best = max(
+        float(((decoders[:, list(f)] == np.arange(n)) * mass).sum(axis=1).max())
+        for f in itertools.product(range(k), repeat=n)
+    )
+    return 2 * (1 - best)
+
+
+def random_prior(rng, n):
+    """A random prior, sometimes with a zero mass and a tie."""
+    mass = rng.random(n)
+    if n > 1 and rng.random() < 0.3:
+        mass[1] = mass[0]
+    if n > 1 and rng.random() < 0.3:
+        mass[rng.integers(n)] = 0.0
+    return Distribution(FiniteSpace.of_size(n, "x"), mass / mass.sum())
+
+
 class TestAutoencode:
     def test_enough_codes_is_lossless(self):
         rng = np.random.default_rng(1)
         for n in (2, 3, 5):
             pi = random_distribution(rng, FiniteSpace.of_size(n, "x"))
-            res = autoencode(pi, n, seed=int(rng.integers(2**31)))
-            assert res.epsilon == pytest.approx(0.0, abs=1e-12)
+            for k in (n, n + 2):
+                assert autoencode(pi, k).epsilon == 0.0
 
     def test_single_code_keeps_the_mode(self):
         pi = Distribution(FiniteSpace.of_size(3), [0.5, 0.3, 0.2])
-        res = autoencode(pi, 1, seed=4)
+        res = autoencode(pi, 1)
         assert res.epsilon == pytest.approx(2 * (1 - 0.5), abs=1e-12)
 
     def test_uniform_four_two_codes(self):
-        res = autoencode(uniform(FiniteSpace.of_size(4)), 2, seed=11)
+        res = autoencode(uniform(FiniteSpace.of_size(4)), 2)
         assert res.epsilon == pytest.approx(1.0, abs=1e-12)
 
-    def test_trace_monotone_and_short(self):
+    def test_closed_form(self):
         rng = np.random.default_rng(2)
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            k = int(rng.integers(1, 5))
-            pi = random_distribution(rng, FiniteSpace.of_size(n, "x"))
-            res = autoencode(pi, k, seed=int(rng.integers(2**31)))
-            trace = np.array(res.trace)
-            assert np.all(np.diff(trace) >= 0)
-            assert len(trace) <= n * k + 2
-            assert res.epsilon == pytest.approx(2 * (1 - trace[-1]), abs=1e-9)
-            assert 0.0 <= res.epsilon <= 2.0
+        for _ in range(300):
+            pi = random_prior(rng, int(rng.integers(1, 9)))
+            k = int(rng.integers(1, 11))
+            res = autoencode(pi, k)
+            assert res.epsilon == pytest.approx(top_k_quality(pi.mass, k), abs=1e-12)
+            assert res.epsilon == pytest.approx(
+                2 * reconstruction_error(res.encoder, res.decoder, pi), abs=1e-12
+            )
 
     def test_epsilon_matches_generic_quality_of_encoder(self):
         rng = np.random.default_rng(3)
@@ -144,52 +169,62 @@ class TestAutoencode:
             n = int(rng.integers(2, 7))
             k = int(rng.integers(1, 5))
             pi = random_distribution(rng, FiniteSpace.of_size(n, "x"))
-            res = autoencode(pi, k, seed=int(rng.integers(2**31)))
+            res = autoencode(pi, k)
             assert res.epsilon == pytest.approx(generic_quality(res.encoder, pi), abs=1e-9)
 
-    def test_seed_reproducible(self):
+    def test_deterministic(self):
         pi = Distribution(FiniteSpace.of_size(5), [0.4, 0.3, 0.15, 0.1, 0.05])
-        a = autoencode(pi, 2, seed=123)
-        b = autoencode(pi, 2, seed=123)
+        a, b = autoencode(pi, 2), autoencode(pi, 2)
         np.testing.assert_array_equal(a.encoder.matrix, b.encoder.matrix)
-        assert a.trace == b.trace
+        np.testing.assert_array_equal(a.decoder.matrix, b.decoder.matrix)
+
+    def test_codes_in_order_of_mass(self):
+        pi = Distribution(FiniteSpace.of_size(4), [0.2, 0.4, 0.2, 0.2])
+        res = autoencode(pi, 6)
+        # ties go to the lowest index; the codes beyond the four inputs decode to the mode
+        np.testing.assert_array_equal(res.decoder.matrix.argmax(axis=0), [1, 0, 2, 3, 1, 1])
+        np.testing.assert_array_equal(res.encoder.matrix.argmax(axis=0), [1, 0, 2, 3])
+
+    def test_unkept_inputs_share_the_mode_code(self):
+        pi = Distribution(FiniteSpace.of_size(5), [0.1, 0.3, 0.05, 0.4, 0.15])
+        res = autoencode(pi, 2)
+        np.testing.assert_array_equal(res.decoder.matrix.argmax(axis=0), [3, 1])
+        np.testing.assert_array_equal(res.encoder.matrix.argmax(axis=0), [0, 1, 0, 0, 0])
 
     def test_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
-        hits = trials = 0
-        for _ in range(30):
-            n = int(rng.integers(2, 6))
-            k = int(rng.integers(1, min(3, n) + 1))
-            pi = random_distribution(rng, FiniteSpace.of_size(n, "x"))
-            best = 0.0
-            for f in itertools.product(range(k), repeat=n):
-                for g in itertools.product(range(n), repeat=k):
-                    prob = sum(pi.mass[x] for x in range(n) if g[f[x]] == x)
-                    best = max(best, prob)
-            res = autoencode(pi, k, restarts=16, seed=int(rng.integers(2**31)))
-            eps_opt = 2 * (1 - best)
-            assert res.epsilon >= eps_opt - 1e-9  # never better than optimal
-            trials += 1
-            hits += res.epsilon <= eps_opt + 1e-9
-        assert hits / trials >= 0.95
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            k = int(rng.integers(1, 4))
+            pi = random_prior(rng, n)
+            res = autoencode(pi, k)
+            assert res.epsilon == pytest.approx(brute_force_quality(pi.mass, k), abs=1e-12)
+
+    def test_at_the_label_cap(self):
+        rng = np.random.default_rng(8)
+        x = FiniteSpace.of_size(32, "x")
+        for k in (1, 5, 16, 31):
+            pi = random_distribution(rng, x)
+            res = autoencode(pi, k)
+            assert res.epsilon == pytest.approx(generic_quality(res.encoder, pi), abs=1e-6)
+            lp = weighted_directed_deficiency(res.encoder, identity(x), pi).delta
+            assert res.epsilon == pytest.approx(lp, abs=1e-6)
 
     def test_invalid_arguments(self):
         pi = uniform(FiniteSpace.of_size(3))
         with pytest.raises(ValueError):
             autoencode(pi, 0)
-        with pytest.raises(ValueError):
-            autoencode(pi, 2, restarts=0)
 
 
 class TestStack:
     def test_full_width_layers_lossless(self):
         pi = Distribution(FiniteSpace.of_size(4), [0.4, 0.3, 0.2, 0.1])
-        chain = stack(pi, [4], seed=0)
+        chain = stack(pi, [4])
         assert chain.layer_quality == (0.0,)
         assert chain.total_quality == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_four_two_one(self):
-        chain = stack(uniform(FiniteSpace.of_size(4)), [2, 1], seed=0)
+        chain = stack(uniform(FiniteSpace.of_size(4)), [2, 1])
         assert chain.layer_quality[0] == pytest.approx(1.0, abs=1e-12)
         # the second layer's optimum depends on the first-layer output prior
         mid = chain.layer_priors[0]
@@ -200,7 +235,7 @@ class TestStack:
     def test_layer_priors_chain(self):
         rng = np.random.default_rng(5)
         pi = random_distribution(rng, FiniteSpace.of_size(6, "x"))
-        chain = stack(pi, [4, 2], seed=9)
+        chain = stack(pi, [4, 2])
         current = pi
         for layer, layer_prior in zip(chain.layers, chain.layer_priors):
             current = pushforward(layer, current)
@@ -213,17 +248,35 @@ class TestStack:
             pi = random_distribution(rng, FiniteSpace.of_size(n, "x"))
             k1 = int(rng.integers(2, n + 1))
             k2 = int(rng.integers(1, k1 + 1))
-            chain = stack(pi, [k1, k2], restarts=8, seed=int(rng.integers(2**31)))
+            chain = stack(pi, [k1, k2])
             assert chain.total_quality <= sum(chain.layer_quality) + 1e-6
 
-    def test_chain_validates_bound(self):
-        x = FiniteSpace.of_size(2)
-        with pytest.raises(ValueError, match="bound"):
+    def test_min_size_law(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            pi = random_prior(rng, n)
+            sizes = [int(k) for k in rng.integers(1, 9, size=int(rng.integers(1, 4)))]
+            chain = stack(pi, sizes)
+            assert chain.total_quality == pytest.approx(top_k_quality(pi.mass, min(sizes)), abs=1e-12)
+
+    def test_min_size_law_against_brute_force(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            pi = random_prior(rng, n)
+            sizes = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+            best = brute_force_quality(pi.mass, min(sizes))
+            assert stack(pi, sizes).total_quality == pytest.approx(best, abs=1e-12)
+
+    def test_chain_checks_adjacent_layers(self):
+        x, y = FiniteSpace.of_size(2), FiniteSpace.of_size(3, "y")
+        with pytest.raises(SpaceMismatchError):
             FeatureChain(
-                layers=(identity(x),),
-                layer_quality=(0.0,),
-                total_quality=0.5,
-                layer_priors=(uniform(x),),
+                layers=(identity(x), identity(y)),
+                layer_quality=(0.0, 0.0),
+                total_quality=0.0,
+                layer_priors=(uniform(x), uniform(y)),
             )
 
     def test_empty_sizes_rejected(self):
