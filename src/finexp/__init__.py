@@ -11,11 +11,9 @@ from .decisions import (
     LossMatrix,
     bayes_act,
     bayes_decision_rule,
-    bayes_risk,
     conditional_entropy,
     entropy,
     feature_gap,
-    information_gap,
     mutual_information,
     regret,
     value,
@@ -28,22 +26,16 @@ from .deficiency import (
     weighted_deficiency,
     weighted_directed_deficiency,
 )
-from .fileio import ExperimentFile, SchemaError, load_experiment, save_experiment
+from .fileio import ExperimentFile, SchemaError, load_experiment
 from .kernels import (
     Distribution,
     FiniteSpace,
     MarkovKernel,
-    POINT,
     SpaceMismatchError,
     bayes_inverse,
     compose,
-    deterministic,
-    identity,
-    point_mass,
     pushforward,
     uniform,
-    uninformative,
-    variational_divergence,
 )
 from .reconstruction import (
     AutoencoderResult,
@@ -52,8 +44,6 @@ from .reconstruction import (
     autoencode,
     generic_quality,
     hellman_raviv_check,
-    optimal_decoder,
-    reconstruction_error,
     stack,
 )
 from .verify import SUITES, SuiteReport, run_all, run_suite
@@ -69,7 +59,6 @@ __all__ = [
     "IBState",
     "LossMatrix",
     "MarkovKernel",
-    "POINT",
     "SchemaError",
     "SolverError",
     "SpaceMismatchError",
@@ -79,10 +68,8 @@ __all__ = [
     "bayes_act",
     "bayes_decision_rule",
     "bayes_inverse",
-    "bayes_risk",
     "compose",
     "conditional_entropy",
-    "deterministic",
     "directed_deficiency",
     "entropy",
     "feature_gap",
@@ -91,23 +78,15 @@ __all__ = [
     "ib_distortion",
     "ib_learn",
     "ib_objective",
-    "identity",
-    "information_gap",
     "load_experiment",
     "mutual_information",
-    "optimal_decoder",
-    "point_mass",
     "pushforward",
-    "reconstruction_error",
     "regret",
     "run_all",
     "run_suite",
-    "save_experiment",
     "stack",
     "uniform",
-    "uninformative",
     "value",
-    "variational_divergence",
     "weighted_deficiency",
     "weighted_directed_deficiency",
     "zero_one_loss",

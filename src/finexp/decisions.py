@@ -45,6 +45,9 @@ class LossMatrix:
             raise ValueError(f"loss needs shape {expected}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("loss entries must be finite")
+        # regrets and feature gaps are differences of losses, so their range must be finite too
+        if not math.isfinite(float(v.max()) - float(v.min())):
+            raise ValueError("loss range max - min overflows to infinity; rescale the loss")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "sup_norm", float(np.abs(v).max()))
@@ -58,17 +61,6 @@ def zero_one_loss(space: FiniteSpace) -> LossMatrix:
 def _min_expected_loss(loss: LossMatrix, mass: np.ndarray) -> float:
     """Smallest expected loss over actions at a fixed distribution on hypotheses."""
     return float((mass @ loss.values).min())
-
-
-def bayes_risk(loss: LossMatrix, prior: Distribution, rule: MarkovKernel) -> float:
-    """Expected loss of a rule mapping hypotheses straight to actions."""
-    if prior.space != loss.theta:
-        raise _mismatch("bayes_risk: prior", loss.theta, prior.space)
-    if rule.source != loss.theta:
-        raise _mismatch("bayes_risk: rule input", loss.theta, rule.source)
-    if rule.target != loss.actions:
-        raise _mismatch("bayes_risk: rule output", loss.actions, rule.target)
-    return float(prior.mass @ np.sum(rule.matrix.T * loss.values, axis=1))
 
 
 def bayes_act(loss: LossMatrix, posterior: Distribution) -> int:
@@ -145,13 +137,6 @@ def _feature_gap(
 ) -> float:
     """Array core of ``feature_gap``: encoder matrix, then as ``_value``."""
     return _value(encoder_matrix @ matrix, mass, loss_values) - _value(matrix, mass, loss_values)
-
-
-def information_gap(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:
-    """Value gained over the experiment that reveals nothing (>= 0)."""
-    if prior.space != loss.theta:
-        raise _mismatch("information_gap: prior", loss.theta, prior.space)
-    return _min_expected_loss(loss, prior.mass) - value(loss, prior, experiment)
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -116,38 +116,6 @@ def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> Experimen
     return out
 
 
-def experiment_to_dict(ef: ExperimentFile) -> dict:
-    space_names = {space: name for name, space in ef.spaces.items()}
-
-    def ref(space: FiniteSpace, context: str) -> str:
-        if space not in space_names:
-            raise SchemaError(f"{context} uses a space not present in the file")
-        return space_names[space]
-
-    doc: dict = {"spaces": {name: list(sp.labels) for name, sp in ef.spaces.items()}}
-    doc["distributions"] = {
-        name: {"space": ref(d.space, f"distribution {name!r}"), "mass": [float(v) for v in d.mass]}
-        for name, d in ef.distributions.items()
-    }
-    doc["kernels"] = {
-        name: {
-            "from": ref(k.source, f"kernel {name!r}"),
-            "to": ref(k.target, f"kernel {name!r}"),
-            "matrix": [[float(v) for v in row] for row in k.matrix],
-        }
-        for name, k in ef.kernels.items()
-    }
-    doc["losses"] = {
-        name: {
-            "theta": ref(l.theta, f"loss {name!r}"),
-            "actions": ref(l.actions, f"loss {name!r}"),
-            "values": [[float(v) for v in row] for row in l.values],
-        }
-        for name, l in ef.losses.items()
-    }
-    return doc
-
-
 def load_experiment(path: str | Path, max_dim: int = DEFAULT_MAX_DIM) -> ExperimentFile:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -156,9 +124,3 @@ def load_experiment(path: str | Path, max_dim: int = DEFAULT_MAX_DIM) -> Experim
     except RecursionError:
         raise SchemaError(f"cannot read experiment file {path}: JSON nested too deeply") from None
     return experiment_from_dict(doc, max_dim=max_dim)
-
-
-def save_experiment(ef: ExperimentFile, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(experiment_to_dict(ef), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

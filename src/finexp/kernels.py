@@ -11,7 +11,6 @@ are pure functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -19,7 +18,8 @@ import numpy as np
 # is rejected; smaller deviations are divided out.
 STOCHASTIC_ATOL = 1e-9
 # Deviations at the level of accumulated rounding are left untouched so that
-# construction is idempotent (load -> save -> load reproduces the same bits).
+# construction is idempotent: rebuilding a kernel from another kernel's
+# matrix reproduces the same bits.
 _RENORM_FLOOR = 1e-13
 
 
@@ -48,16 +48,6 @@ class FiniteSpace:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"label {label!r} not in space {self.labels}") from None
-
-
-#: Canonical one-point space, the target of every uninformative kernel.
-POINT = FiniteSpace(("*",))
 
 
 def _mismatch(context: str, expected: FiniteSpace, got: FiniteSpace) -> SpaceMismatchError:
@@ -107,12 +97,6 @@ def uniform(space: FiniteSpace) -> Distribution:
     return Distribution(space, np.full(space.size, 1.0 / space.size))
 
 
-def point_mass(space: FiniteSpace, label: str) -> Distribution:
-    m = np.zeros(space.size)
-    m[space.index(label)] = 1.0
-    return Distribution(space, m)
-
-
 @dataclass(frozen=True, eq=False)
 class MarkovKernel:
     """Column-stochastic matrix: column x holds the output distribution for input x."""
@@ -135,33 +119,6 @@ class MarkovKernel:
 
     def column(self, x: int) -> Distribution:
         return Distribution(self.target, self.matrix[:, x])
-
-
-def identity(space: FiniteSpace) -> MarkovKernel:
-    return MarkovKernel(space, space, np.eye(space.size))
-
-
-def uninformative(space: FiniteSpace) -> MarkovKernel:
-    return MarkovKernel(space, POINT, np.ones((1, space.size)))
-
-
-def deterministic(
-    source: FiniteSpace,
-    target: FiniteSpace,
-    f: Mapping[str, str] | Callable[[str], str],
-) -> MarkovKernel:
-    """Kernel of a function: each column is a point mass on the image label."""
-    m = np.zeros((target.size, source.size))
-    for j, label in enumerate(source.labels):
-        if isinstance(f, Mapping):
-            try:
-                image = f[label]
-            except KeyError:
-                raise ValueError(f"map has no image for label {label!r}") from None
-        else:
-            image = f(label)
-        m[target.index(image), j] = 1.0
-    return MarkovKernel(source, target, m)
 
 
 def compose(outer: MarkovKernel, inner: MarkovKernel) -> MarkovKernel:
@@ -204,10 +161,3 @@ def bayes_inverse(kernel: MarkovKernel, prior: Distribution) -> MarkovKernel:
         raise _mismatch("bayes_inverse", kernel.source, prior.space)
     post, _ = _bayes_inverse_matrix(kernel.matrix, prior.mass)
     return MarkovKernel(kernel.target, kernel.source, post)
-
-
-def variational_divergence(p: Distribution, q: Distribution) -> float:
-    """l1 distance between two distributions on the same space, in [0, 2]."""
-    if p.space != q.space:
-        raise _mismatch("variational_divergence", p.space, q.space)
-    return float(np.abs(p.mass - q.mass).sum())

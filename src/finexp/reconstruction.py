@@ -51,7 +51,6 @@ class FeatureChain:
     layers: tuple[MarkovKernel, ...]
     layer_quality: tuple[float, ...]
     total_quality: float
-    layer_priors: tuple[Distribution, ...]
 
     def __post_init__(self) -> None:
         for lo, hi in zip(self.layers, self.layers[1:]):
@@ -65,15 +64,8 @@ class HellmanRavivCheck(NamedTuple):
     holds: bool
 
 
-def optimal_decoder(encoder: MarkovKernel, prior: Distribution) -> MarkovKernel:
-    """Most-probable-preimage decoder; codes with zero mass decode to the prior mode."""
-    if prior.space != encoder.source:
-        raise _mismatch("optimal_decoder", encoder.source, prior.space)
-    return MarkovKernel(encoder.target, encoder.source, _decoder(encoder.matrix, prior.mass))
-
-
 def _decoder(encoder_matrix: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Array core of ``optimal_decoder``: the decoder's matrix."""
+    """Most-probable-preimage decoder's matrix; codes with zero mass decode to the prior mode."""
     scores = encoder_matrix * mass[None, :]
     best = np.argmax(scores, axis=1)
     best[scores.sum(axis=1) <= 0] = int(np.argmax(mass))
@@ -83,32 +75,19 @@ def _decoder(encoder_matrix: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return m
 
 
-def reconstruction_error(
-    encoder: MarkovKernel, decoder: MarkovKernel, prior: Distribution
-) -> float:
-    """Probability that decode(encode(x)) differs from x when x follows the prior."""
-    if prior.space != encoder.source:
-        raise _mismatch("reconstruction_error", encoder.source, prior.space)
-    roundtrip = compose(decoder, encoder)
-    return _missed_mass(roundtrip.matrix.copy(), prior.mass)
-
-
-def _missed_mass(roundtrip: np.ndarray, mass: np.ndarray) -> float:
-    """Mass sent off the diagonal by a round-trip matrix; zeroes its diagonal in place."""
-    np.fill_diagonal(roundtrip, 0.0)
-    return float(mass @ roundtrip.sum(axis=0))
-
-
 def generic_quality(encoder: MarkovKernel, prior: Distribution) -> float:
     """Twice the best achievable reconstruction error; in [0, 2]."""
     if prior.space != encoder.source:
-        raise _mismatch("optimal_decoder", encoder.source, prior.space)
+        raise _mismatch("generic_quality", encoder.source, prior.space)
     return _generic_quality(encoder.matrix, prior.mass)
 
 
 def _generic_quality(encoder_matrix: np.ndarray, mass: np.ndarray) -> float:
     """Array core of ``generic_quality``: encoder matrix and input masses."""
-    return 2.0 * _missed_mass(_decoder(encoder_matrix, mass) @ encoder_matrix, mass)
+    roundtrip = _decoder(encoder_matrix, mass) @ encoder_matrix
+    # the mass the round trip sends off the diagonal
+    np.fill_diagonal(roundtrip, 0.0)
+    return 2.0 * float(mass @ roundtrip.sum(axis=0))
 
 
 def _encoder_sweep(g: np.ndarray, n: int) -> np.ndarray:
@@ -176,20 +155,17 @@ def stack(prior: Distribution, sizes: list[int] | tuple[int, ...]) -> FeatureCha
         raise ValueError("sizes must be non-empty")
     layers: list[MarkovKernel] = []
     qualities: list[float] = []
-    priors: list[Distribution] = []
     current = prior
     for k in sizes:
         result = autoencode(current, int(k))
         layers.append(result.encoder)
         qualities.append(result.epsilon)
         current = pushforward(result.encoder, current)
-        priors.append(current)
     composed = reduce(lambda inner, outer: compose(outer, inner), layers)
     return FeatureChain(
         layers=tuple(layers),
         layer_quality=tuple(qualities),
         total_quality=generic_quality(composed, prior),
-        layer_priors=tuple(priors),
     )
 
 

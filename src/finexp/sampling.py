@@ -22,14 +22,6 @@ def random_kernel(rng: np.random.Generator, source: FiniteSpace, target: FiniteS
     return MarkovKernel(source, target, _random_columns(rng, source.size, target.size))
 
 
-def random_deterministic_kernel(
-    rng: np.random.Generator, source: FiniteSpace, target: FiniteSpace
-) -> MarkovKernel:
-    m = np.zeros((target.size, source.size))
-    m[rng.integers(0, target.size, size=source.size), np.arange(source.size)] = 1.0
-    return MarkovKernel(source, target, m)
-
-
 def random_loss(rng: np.random.Generator, theta: FiniteSpace, actions: FiniteSpace) -> LossMatrix:
     """Losses drawn uniformly from [-1, 1]."""
     return LossMatrix(theta, actions, rng.uniform(-1.0, 1.0, size=(theta.size, actions.size)))

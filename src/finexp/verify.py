@@ -351,9 +351,10 @@ def suite_oracle_autoencode(rng, trials, max_dim) -> Iterable[Check]:
     """The closed-form autoencoder versus exhaustive search over encoder/decoder pairs.
 
     Per trial it must never beat the true optimum, and across the suite it
-    must attain the optimum in every trial.
+    must attain the optimum in every trial: its largest excess over the
+    optimum is one fixed check, so the report shows how close that came.
     """
-    hits = 0
+    excess = -np.inf
     for i in range(trials):
         n = int(rng.integers(2, min(max_dim, 5) + 1))
         k = int(rng.integers(1, min(3, n) + 1))
@@ -369,9 +370,8 @@ def suite_oracle_autoencode(rng, trials, max_dim) -> Iterable[Check]:
 
         run = autoencode(prior, k)
         yield Check(f"trial{i}_never_better", eps_opt - run.epsilon, 1e-9)
-        if run.epsilon <= eps_opt + 1e-9:
-            hits += 1
-    yield Check("exact_rate", 1.0 - hits / trials, 0.0)
+        excess = max(excess, run.epsilon - eps_opt)
+    yield Check("max_excess", excess, 1e-9)
 
 
 SUITES: dict[str, Callable] = {

@@ -1,9 +1,9 @@
-"""Shared hypothesis strategies for small spaces, distributions and kernels."""
+"""Shared hypothesis strategies for small spaces, distributions and kernels, and test helpers."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from finexp.decisions import LossMatrix
+from finexp.decisions import LossMatrix, value
 from finexp.kernels import Distribution, FiniteSpace, MarkovKernel
 
 sizes = st.integers(min_value=1, max_value=5)
@@ -79,3 +79,23 @@ def experiments(draw, max_size=5):
     prior = draw(distributions(space=theta))
     data = draw(spaces("x", min_size=2, max_size=max_size))
     return prior, draw(kernels(source=theta, target=data))
+
+
+def identity_kernel(space):
+    """The experiment that reveals its input."""
+    return MarkovKernel(space, space, np.eye(space.size))
+
+
+def blind_kernel(space):
+    """The experiment that reveals nothing: one output for every input."""
+    return MarkovKernel(space, FiniteSpace(("*",)), np.ones((1, space.size)))
+
+
+def bayes_risk(loss, prior, rule):
+    """Expected loss of a rule from hypotheses straight to actions, summed over both."""
+    return float(prior.mass @ (rule.matrix.T * loss.values).sum(axis=1))
+
+
+def information_gap(loss, prior, experiment):
+    """Value gained by the experiment over deciding from the prior alone."""
+    return float((prior.mass @ loss.values).min()) - value(loss, prior, experiment)

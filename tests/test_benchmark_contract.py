@@ -1,11 +1,15 @@
-"""What the traced benchmark run reads of finexp, checked without running it.
+"""What the benchmark reads of finexp, checked without running it.
 
 ``perfbench/tracing.py`` wraps the names in ``SPANNED`` and reads fields of
-the results; a name that no longer resolves drops per-layer metrics from a
-traced run.  This test finds that in a second instead of a minute-long run.
+the results, and every perfbench module calls finexp through
+``finexp.<name>`` chains; a name that no longer resolves drops per-layer
+metrics from a traced run or fails a workload.  These tests find that in a
+second instead of a minute-long run.
 """
 
+import ast
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -32,6 +36,32 @@ def test_spanned_names_resolve(tracing):
         for module, attr, _ in tracing.SPANNED
         if not hasattr(importlib.import_module(module), attr)
     ]
+    assert not missing
+
+
+def _finexp_chains() -> set[str]:
+    """Every ``finexp.<attr>[.<attr>...]`` expression in perfbench's modules."""
+    chains = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.append(node.attr)
+                node = node.value
+            if attrs and isinstance(node, ast.Name) and node.id == "finexp":
+                chains.add(".".join(["finexp", *reversed(attrs)]))
+    return chains
+
+
+def test_perfbench_finexp_chains_resolve():
+    chains = _finexp_chains()
+    assert "finexp.compose" in chains
+    missing = []
+    for chain in sorted(chains):
+        try:
+            pkgutil.resolve_name(chain)
+        except (ImportError, AttributeError):
+            missing.append(chain)
     assert not missing
 
 

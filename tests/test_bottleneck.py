@@ -17,7 +17,6 @@ from finexp.bottleneck import (
 )
 from finexp.decisions import (
     LossMatrix,
-    information_gap,
     mutual_information,
     regret,
     zero_one_loss,
@@ -30,9 +29,10 @@ from finexp.kernels import (
     bayes_inverse,
     pushforward,
     uniform,
-    uninformative,
 )
 from finexp.sampling import random_distribution, random_kernel, random_loss
+
+from strategies import blind_kernel, information_gap
 
 
 def random_problem(rng, nt=(2, 4), nx=(2, 6), na=(2, 4)):
@@ -97,7 +97,7 @@ class TestObjective:
         loss, pi, exp = random_problem(rng)
         z = FiniteSpace.of_size(1, "z")
         state = IBState(
-            encoder=uninformative(exp.target),
+            encoder=blind_kernel(exp.target),
             centroid_posteriors=MarkovKernel(z, exp.source, pi.mass[:, None]),
             latent_prior=Distribution(z, [1.0]),
             beta=0.0,

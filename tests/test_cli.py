@@ -307,6 +307,20 @@ class TestIB:
         assert code == 0
         assert out["mutual_information_bits"] == 0.0
 
+    def test_loss_range_overflow_exits_2(self, capsys, tmp_path):
+        # every entry is finite, but the regrets span 3.4e308 and once printed Infinity
+        doc = json.loads(json.dumps(SAMPLE))
+        doc["losses"]["big"] = {
+            "theta": "Theta", "actions": "Theta", "values": [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        argv = ["ib", str(path), "--experiment", "bsc", "--prior", "uniform", "--loss", "big", "--latent", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max - min overflows" in captured.err
+
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-0.5", "abc"])
     def test_bad_beta_exits_2(self, capsys, sample_file, beta):
         with pytest.raises(SystemExit) as exc:

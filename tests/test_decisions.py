@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,9 @@ from finexp.decisions import (
     _xlogy,
     bayes_act,
     bayes_decision_rule,
-    bayes_risk,
     conditional_entropy,
     entropy,
     feature_gap,
-    information_gap,
     mutual_information,
     regret,
     value,
@@ -23,13 +23,11 @@ from finexp.kernels import (
     FiniteSpace,
     MarkovKernel,
     compose,
-    deterministic,
-    identity,
     uniform,
-    uninformative,
 )
 
 import strategies as strat
+from strategies import bayes_risk, blind_kernel, identity_kernel, information_gap
 
 
 def bsc(p):
@@ -51,27 +49,39 @@ class TestLossMatrix:
 
 
 class TestBayesRisk:
+    """The value is the least Bayes risk of any rule that sees the experiment's output."""
+
     def test_zero_loss(self):
+        # every action ties, so the Bayes rule takes the lowest one and risks nothing
         t = FiniteSpace.of_size(3, "t")
         loss = LossMatrix(t, t, np.zeros((3, 3)))
-        assert bayes_risk(loss, uniform(t), identity(t)) == 0.0
+        rule = bayes_decision_rule(loss, uniform(t), identity_kernel(t))
+        np.testing.assert_array_equal(rule.matrix, [[1, 1, 1], [0, 0, 0], [0, 0, 0]])
+        assert bayes_risk(loss, uniform(t), rule) == 0.0
 
     def test_perfect_rule(self):
         t = FiniteSpace.of_size(3, "t")
-        assert bayes_risk(zero_one_loss(t), uniform(t), identity(t)) == 0.0
+        rule = bayes_decision_rule(zero_one_loss(t), uniform(t), identity_kernel(t))
+        np.testing.assert_array_equal(rule.matrix, np.eye(3))
+        assert bayes_risk(zero_one_loss(t), uniform(t), rule) == 0.0
 
     @settings(max_examples=60)
     @given(st.data())
     def test_double_sum_oracle(self, data):
+        # brute force over every deterministic rule, each risk a double sum
         loss = data.draw(strat.losses())
         prior = data.draw(strat.distributions(space=loss.theta))
-        rule = data.draw(strat.kernels(source=loss.theta, target=loss.actions))
-        oracle = sum(
-            prior.mass[i] * rule.matrix[a, i] * loss.values[i, a]
-            for i in range(loss.theta.size)
-            for a in range(loss.actions.size)
+        exp = data.draw(strat.kernels(source=loss.theta))
+        nt, nx, na = loss.theta.size, exp.target.size, loss.actions.size
+        oracle = min(
+            sum(
+                prior.mass[i] * exp.matrix[x, i] * loss.values[i, rule[x]]
+                for i in range(nt)
+                for x in range(nx)
+            )
+            for rule in itertools.product(range(na), repeat=nx)
         )
-        assert bayes_risk(loss, prior, rule) == pytest.approx(oracle, abs=1e-12)
+        assert value(loss, prior, exp) == pytest.approx(oracle, abs=1e-12)
 
 
 class TestBayesAct:
@@ -94,11 +104,11 @@ class TestBayesAct:
 class TestValue:
     def test_identity_perfect(self):
         t = FiniteSpace.of_size(2, "t")
-        assert value(zero_one_loss(t), uniform(t), identity(t)) == 0.0
+        assert value(zero_one_loss(t), uniform(t), identity_kernel(t)) == 0.0
 
     def test_uninformative_binary(self):
         t = FiniteSpace.of_size(2, "t")
-        assert value(zero_one_loss(t), uniform(t), uninformative(t)) == pytest.approx(0.5)
+        assert value(zero_one_loss(t), uniform(t), blind_kernel(t)) == pytest.approx(0.5)
 
     def test_bsc_error_rate(self):
         t = FiniteSpace.of_size(2, "t")
@@ -182,23 +192,24 @@ class TestGaps:
     def test_identity_feature_no_gap(self):
         t = FiniteSpace.of_size(2, "t")
         exp = bsc(0.2)
-        assert feature_gap(zero_one_loss(t), uniform(t), exp, identity(exp.target)) == 0.0
+        assert feature_gap(zero_one_loss(t), uniform(t), exp, identity_kernel(exp.target)) == 0.0
 
     def test_constant_feature_gap_is_information_gap(self):
+        # the information gap: the value gained over deciding from the prior alone
         t = FiniteSpace.of_size(2, "t")
         exp = bsc(0.2)
         loss = zero_one_loss(t)
         pi = Distribution(t, [0.3, 0.7])
-        gap = feature_gap(loss, pi, exp, uninformative(exp.target))
+        gap = feature_gap(loss, pi, exp, blind_kernel(exp.target))
         assert gap == pytest.approx(information_gap(loss, pi, exp), abs=1e-12)
 
     def test_information_gap_uninformative_zero(self):
         t = FiniteSpace.of_size(3, "t")
-        assert information_gap(zero_one_loss(t), uniform(t), uninformative(t)) == 0.0
+        assert information_gap(zero_one_loss(t), uniform(t), blind_kernel(t)) == 0.0
 
     def test_information_gap_identity_binary(self):
         t = FiniteSpace.of_size(2, "t")
-        assert information_gap(zero_one_loss(t), uniform(t), identity(t)) == pytest.approx(0.5)
+        assert information_gap(zero_one_loss(t), uniform(t), identity_kernel(t)) == pytest.approx(0.5)
 
     @settings(max_examples=80)
     @given(st.data())
@@ -220,7 +231,7 @@ class TestGaps:
             qs = np.linspace(1.0 / (grid_size + 1), grid_size / (grid_size + 1), grid_size)
             vals = -np.log2(np.stack([qs, 1 - qs]))  # [theta, action]
             loss = LossMatrix(t, FiniteSpace.of_size(grid_size, "a"), vals)
-            errs.append(abs(information_gap(loss, pi, identity(t)) - target))
+            errs.append(abs(information_gap(loss, pi, identity_kernel(t)) - target))
         assert errs[0] <= 0.05
         assert errs[1] < errs[0]
         assert errs[1] <= 0.005
@@ -229,28 +240,28 @@ class TestGaps:
 class TestEntropies:
     def test_injective_encoder_zero_conditional(self):
         x = FiniteSpace.of_size(3)
-        assert conditional_entropy(uniform(x), identity(x)) == pytest.approx(0.0, abs=1e-12)
+        assert conditional_entropy(uniform(x), identity_kernel(x)) == pytest.approx(0.0, abs=1e-12)
 
     def test_uninformative_encoder_full_conditional(self):
         x = FiniteSpace.of_size(3)
         pi = Distribution(x, [0.2, 0.3, 0.5])
-        assert conditional_entropy(pi, uninformative(x)) == pytest.approx(entropy(pi), abs=1e-12)
+        assert conditional_entropy(pi, blind_kernel(x)) == pytest.approx(entropy(pi), abs=1e-12)
 
     def test_merge_pairs_one_bit(self):
         x = FiniteSpace.of_size(4)
         z = FiniteSpace.of_size(2, "z")
-        merge = deterministic(x, z, {"x0": "z0", "x1": "z0", "x2": "z1", "x3": "z1"})
+        merge = MarkovKernel(x, z, [[1, 1, 0, 0], [0, 0, 1, 1]])
         assert conditional_entropy(uniform(x), merge) == pytest.approx(1.0, abs=1e-12)
         assert mutual_information(uniform(x), merge) == pytest.approx(1.0, abs=1e-12)
 
     def test_mutual_information_uninformative_zero(self):
         x = FiniteSpace.of_size(4)
         pi = Distribution(x, [0.1, 0.2, 0.3, 0.4])
-        assert mutual_information(pi, uninformative(x)) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(pi, blind_kernel(x)) == pytest.approx(0.0, abs=1e-12)
 
     def test_mutual_information_identity_is_entropy(self):
         x = FiniteSpace.of_size(2)
-        assert mutual_information(uniform(x), identity(x)) == pytest.approx(1.0, abs=1e-12)
+        assert mutual_information(uniform(x), identity_kernel(x)) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=80)
     @given(st.data())
@@ -302,7 +313,7 @@ class TestEntropies:
         # pz * prior underflows to 0 on the rare input while the joint does not
         x = FiniteSpace.of_size(2)
         p = Distribution(x, [1e-200, 1.0])
-        got = mutual_information(p, identity(x))
+        got = mutual_information(p, identity_kernel(x))
         assert np.isfinite(got)
         assert got == pytest.approx(entropy(p), rel=1e-12)
         assert got == pytest.approx(6.643856189774725e-198, rel=1e-12)
@@ -311,8 +322,8 @@ class TestEntropies:
         x = FiniteSpace.of_size(3)
         point = Distribution(x, [0.0, 1.0, 0.0])
         assert entropy(point) == 0.0
-        assert conditional_entropy(point, uninformative(x)) == 0.0
-        assert mutual_information(point, identity(x)) == 0.0
+        assert conditional_entropy(point, blind_kernel(x)) == 0.0
+        assert mutual_information(point, identity_kernel(x)) == 0.0
 
     def test_xlogy_helper_edge_values(self):
         xlogy = pytest.importorskip("scipy.special").xlogy

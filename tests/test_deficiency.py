@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from finexp.decisions import bayes_decision_rule, bayes_risk, value
+from finexp.decisions import bayes_decision_rule, value
 from finexp import deficiency
 from finexp.deficiency import (
     _block,
@@ -18,12 +18,12 @@ from finexp.kernels import (
     MarkovKernel,
     SpaceMismatchError,
     compose,
-    identity,
     uniform,
-    uninformative,
 )
-from finexp.sampling import random_deterministic_kernel, random_distribution, random_kernel, random_loss
+from finexp.sampling import random_distribution, random_kernel, random_loss
 from finexp.verify import run_suite
+
+from strategies import bayes_risk, blind_kernel, identity_kernel
 
 
 def residuals(first, second, v):
@@ -53,27 +53,27 @@ class TestWeightedDirected:
 
     def test_constants_factor_through_anything(self):
         for rng, theta, t, _ in rng_instances(1, 5):
-            res = weighted_directed_deficiency(t, uninformative(theta), random_distribution(rng, theta))
+            res = weighted_directed_deficiency(t, blind_kernel(theta), random_distribution(rng, theta))
             assert res.delta <= 1e-8
 
     def test_uninformative_to_identity_is_one(self):
         # any constant decoder q earns 0.5*2(1-q0) + 0.5*2*q0 = 1
         theta = FiniteSpace.of_size(2, "t")
-        res = weighted_directed_deficiency(uninformative(theta), identity(theta), uniform(theta))
+        res = weighted_directed_deficiency(blind_kernel(theta), identity_kernel(theta), uniform(theta))
         assert res.delta == pytest.approx(1.0, abs=1e-8)
 
     def test_uninformative_to_identity_exhaustive(self):
         # deterministic post-processings of the point experiment are the two constants
         theta = FiniteSpace.of_size(2, "t")
-        point = uninformative(theta)
+        point = blind_kernel(theta)
         pi = Distribution(theta, [0.4, 0.6])
         best = np.inf
         for target in range(2):
             m = np.zeros((2, 1))
             m[target, 0] = 1.0
             v = MarkovKernel(point.target, theta, m)
-            best = min(best, weighted_residual(point, identity(theta), pi, v))
-        res = weighted_directed_deficiency(point, identity(theta), pi)
+            best = min(best, weighted_residual(point, identity_kernel(theta), pi, v))
+        res = weighted_directed_deficiency(point, identity_kernel(theta), pi)
         assert res.delta == pytest.approx(best, abs=1e-8)
 
     def test_witness_is_stochastic_and_consistent(self):
@@ -111,7 +111,7 @@ class TestDirected:
 
     def test_uninformative_to_identity_is_one(self):
         theta = FiniteSpace.of_size(2, "t")
-        res = directed_deficiency(uninformative(theta), identity(theta))
+        res = directed_deficiency(blind_kernel(theta), identity_kernel(theta))
         assert res.delta == pytest.approx(1.0, abs=1e-8)
 
     def test_sup_dominates_weighted(self):
@@ -137,7 +137,7 @@ class TestWeighted:
 
     def test_binary_id_vs_uninformative(self):
         theta = FiniteSpace.of_size(2, "t")
-        assert weighted_deficiency(identity(theta), uninformative(theta), uniform(theta)) == pytest.approx(
+        assert weighted_deficiency(identity_kernel(theta), blind_kernel(theta), uniform(theta)) == pytest.approx(
             1.0, abs=1e-8
         )
 
@@ -166,7 +166,7 @@ class TestFactorsThrough:
 
     def test_identity_does_not_factor_through_point(self):
         theta = FiniteSpace.of_size(2, "t")
-        res = weighted_directed_deficiency(uninformative(theta), identity(theta), uniform(theta))
+        res = weighted_directed_deficiency(blind_kernel(theta), identity_kernel(theta), uniform(theta))
         assert res.delta > 1e-6
         assert res.delta == pytest.approx(1.0, abs=1e-8)
 
@@ -180,7 +180,7 @@ class TestFactorsThrough:
         fibers = {"x0": "y0", "x1": "y0", "x2": "y1", "x3": "y1"}
         split = np.zeros((4, 2))
         for xi, lab in enumerate(x.labels):
-            split[xi, y.index(fibers[lab])] = 0.5
+            split[xi, y.labels.index(fibers[lab])] = 0.5
         base = random_kernel(rng, theta, y)
         t = compose(MarkovKernel(y, x, split), base)
         merge = MarkovKernel(x, y, np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=float))
@@ -336,7 +336,7 @@ class TestReferenceEdgeCases:
             t = MarkovKernel(theta, x, rng.dirichlet(np.full(x.size, 0.3), size=theta.size).T)
             noise = MarkovKernel(x, z, rng.dirichlet(np.full(z.size, 0.3), size=x.size).T)
             pi = Distribution(theta, rng.dirichlet(np.full(theta.size, 0.3)))
-            for u in (t, compose(noise, t), uninformative(theta)):
+            for u in (t, compose(noise, t), blind_kernel(theta)):
                 worst = max(worst, weighted_directed_deficiency(t, u, pi).delta, directed_deficiency(t, u).delta)
         assert worst <= 1e-8
 
@@ -391,7 +391,11 @@ def _mixed_problems():
         theta = FiniteSpace.of_size(nt, "t")
         x, y = FiniteSpace.of_size(nx, "x"), FiniteSpace.of_size(ny, "y")
         if i % 4 == 0:
-            t, u = random_deterministic_kernel(rng, theta, x), random_deterministic_kernel(rng, theta, y)
+            # deterministic kernels: each column a point mass at a random output
+            t, u = (
+                MarkovKernel(theta, space, np.eye(space.size)[rng.integers(0, space.size, size=nt)].T)
+                for space in (x, y)
+            )
         else:
             t, u = random_kernel(rng, theta, x), random_kernel(rng, theta, y)
         mass = rng.dirichlet(np.ones(nt))

@@ -10,89 +10,85 @@ from finexp.kernels import (
     MarkovKernel,
     SpaceMismatchError,
     compose,
-    deterministic,
-    identity,
     pushforward,
     uniform,
-    uninformative,
 )
 from finexp.reconstruction import (
     FeatureChain,
+    _decoder,
     autoencode,
     generic_quality,
     hellman_raviv_check,
-    optimal_decoder,
-    reconstruction_error,
     stack,
 )
 from finexp.sampling import random_distribution, random_kernel
+
+from strategies import blind_kernel, identity_kernel
 
 
 def merge_example():
     x = FiniteSpace(("a", "b", "c"))
     z = FiniteSpace(("z0", "z1"))
-    enc = deterministic(x, z, {"a": "z0", "b": "z0", "c": "z1"})
+    enc = MarkovKernel(x, z, [[1, 1, 0], [0, 0, 1]])
     return enc, Distribution(x, [0.5, 0.3, 0.2])
 
 
+def reconstruction_error(encoder, decoder, prior):
+    """Probability that decode(encode(x)) differs from x when x follows the prior."""
+    return float(prior.mass @ (1.0 - np.diag(decoder.matrix @ encoder.matrix)))
+
+
 class TestOptimalDecoder:
+    """The most-probable-preimage decoder behind ``generic_quality``."""
+
     def test_identity_encoder(self):
-        x = FiniteSpace.of_size(3)
-        dec = optimal_decoder(identity(x), uniform(x))
-        np.testing.assert_allclose(dec.matrix, np.eye(3))
+        dec = _decoder(np.eye(3), np.full(3, 1 / 3))
+        np.testing.assert_array_equal(dec, np.eye(3))
 
     def test_merge_decodes_heaviest(self):
         enc, pi = merge_example()
-        dec = optimal_decoder(enc, pi)
-        assert pi.space.labels[int(np.argmax(dec.matrix[:, 0]))] == "a"
-        assert pi.space.labels[int(np.argmax(dec.matrix[:, 1]))] == "c"
+        dec = _decoder(enc.matrix, pi.mass)
+        assert pi.space.labels[int(np.argmax(dec[:, 0]))] == "a"
+        assert pi.space.labels[int(np.argmax(dec[:, 1]))] == "c"
 
     def test_merge_beats_all_deterministic_decoders(self):
         enc, pi = merge_example()
         best = min(
-            reconstruction_error(
-                enc,
-                deterministic(enc.target, pi.space, {"z0": a, "z1": b}),
-                pi,
-            )
-            for a in pi.space.labels
-            for b in pi.space.labels
+            reconstruction_error(enc, MarkovKernel(enc.target, pi.space, np.eye(3)[:, [a, b]]), pi)
+            for a in range(3)
+            for b in range(3)
         )
-        got = reconstruction_error(enc, optimal_decoder(enc, pi), pi)
-        assert got == pytest.approx(best, abs=1e-12)
-        assert got == pytest.approx(0.3, abs=1e-12)
+        assert generic_quality(enc, pi) == pytest.approx(2 * best, abs=1e-12)
+        assert best == pytest.approx(0.3, abs=1e-12)
 
     def test_uninformative_encoder_decodes_to_mode(self):
         _, pi = merge_example()
-        dec = optimal_decoder(uninformative(pi.space), pi)
-        assert pi.space.labels[int(np.argmax(dec.matrix[:, 0]))] == "a"
+        dec = _decoder(np.ones((1, 3)), pi.mass)
+        assert pi.space.labels[int(np.argmax(dec[:, 0]))] == "a"
 
     def test_zero_mass_code_decodes_to_mode(self):
-        x = FiniteSpace.of_size(2)
-        z = FiniteSpace.of_size(2, "z")
-        enc = MarkovKernel(x, z, [[1, 1], [0, 0]])  # code z1 never used
-        pi = Distribution(x, [0.3, 0.7])
-        dec = optimal_decoder(enc, pi)
-        assert int(np.argmax(dec.matrix[:, 1])) == 1  # the mode x1
+        enc = np.array([[1.0, 1.0], [0.0, 0.0]])  # code z1 never used
+        dec = _decoder(enc, np.array([0.3, 0.7]))
+        assert int(np.argmax(dec[:, 1])) == 1  # the mode x1
 
 
 class TestReconstructionError:
     def test_perfect_roundtrip(self):
-        x = FiniteSpace.of_size(4)
-        assert reconstruction_error(identity(x), identity(x), uniform(x)) == 0.0
+        # with a code per input, the optimal autoencoder's round trip is the identity
+        pi = Distribution(FiniteSpace.of_size(4), [0.1, 0.4, 0.2, 0.3])
+        res = autoencode(pi, 4)
+        np.testing.assert_array_equal(compose(res.decoder, res.encoder).matrix, np.eye(4))
 
     def test_uninformative_uniform(self):
         for n in (2, 3, 5):
             x = FiniteSpace.of_size(n)
-            enc = uninformative(x)
-            err = reconstruction_error(enc, optimal_decoder(enc, uniform(x)), uniform(x))
-            assert err == pytest.approx((n - 1) / n, abs=1e-12)
+            assert generic_quality(blind_kernel(x), uniform(x)) == pytest.approx(2 * (n - 1) / n, abs=1e-12)
 
 
 class TestGenericQuality:
     def test_injective_zero(self):
         x = FiniteSpace.of_size(3)
-        assert generic_quality(identity(x), uniform(x)) == 0.0
+        assert generic_quality(identity_kernel(x), uniform(x)) == 0.0
 
     def test_merge_example(self):
         enc, pi = merge_example()
@@ -105,7 +101,7 @@ class TestGenericQuality:
             nz = int(rng.integers(1, 7))
             pi = random_distribution(rng, FiniteSpace.of_size(n, "x"))
             enc = random_kernel(rng, pi.space, FiniteSpace.of_size(nz, "z"))
-            lp = weighted_directed_deficiency(enc, identity(pi.space), pi).delta
+            lp = weighted_directed_deficiency(enc, identity_kernel(pi.space), pi).delta
             assert generic_quality(enc, pi) == pytest.approx(lp, abs=1e-6)
 
 
@@ -207,7 +203,7 @@ class TestAutoencode:
             pi = random_distribution(rng, x)
             res = autoencode(pi, k)
             assert res.epsilon == pytest.approx(generic_quality(res.encoder, pi), abs=1e-6)
-            lp = weighted_directed_deficiency(res.encoder, identity(x), pi).delta
+            lp = weighted_directed_deficiency(res.encoder, identity_kernel(x), pi).delta
             assert res.epsilon == pytest.approx(lp, abs=1e-6)
 
     def test_invalid_arguments(self):
@@ -227,19 +223,22 @@ class TestStack:
         chain = stack(uniform(FiniteSpace.of_size(4)), [2, 1])
         assert chain.layer_quality[0] == pytest.approx(1.0, abs=1e-12)
         # the second layer's optimum depends on the first-layer output prior
-        mid = chain.layer_priors[0]
+        mid = pushforward(chain.layers[0], uniform(FiniteSpace.of_size(4)))
         assert chain.layer_quality[1] == pytest.approx(2 * (1 - mid.mass.max()), abs=1e-12)
         assert chain.total_quality == pytest.approx(1.5, abs=1e-12)
         assert chain.total_quality <= sum(chain.layer_quality) + 1e-6
 
     def test_layer_priors_chain(self):
+        # each layer is the optimal autoencoder of the previous layer's output prior
         rng = np.random.default_rng(5)
         pi = random_distribution(rng, FiniteSpace.of_size(6, "x"))
         chain = stack(pi, [4, 2])
         current = pi
-        for layer, layer_prior in zip(chain.layers, chain.layer_priors):
+        for layer, quality in zip(chain.layers, chain.layer_quality):
+            res = autoencode(current, layer.target.size)
+            np.testing.assert_array_equal(layer.matrix, res.encoder.matrix)
+            assert quality == res.epsilon
             current = pushforward(layer, current)
-            np.testing.assert_allclose(current.mass, layer_prior.mass)
 
     def test_sum_bound_random(self):
         rng = np.random.default_rng(6)
@@ -273,10 +272,9 @@ class TestStack:
         x, y = FiniteSpace.of_size(2), FiniteSpace.of_size(3, "y")
         with pytest.raises(SpaceMismatchError):
             FeatureChain(
-                layers=(identity(x), identity(y)),
+                layers=(identity_kernel(x), identity_kernel(y)),
                 layer_quality=(0.0, 0.0),
                 total_quality=0.0,
-                layer_priors=(uniform(x), uniform(y)),
             )
 
     def test_empty_sizes_rejected(self):
@@ -287,14 +285,14 @@ class TestStack:
 class TestHellmanRaviv:
     def test_injective(self):
         x = FiniteSpace.of_size(3)
-        eps, h, ok = hellman_raviv_check(identity(x), uniform(x))
+        eps, h, ok = hellman_raviv_check(identity_kernel(x), uniform(x))
         assert eps == pytest.approx(0.0, abs=1e-12)
         assert h == pytest.approx(0.0, abs=1e-12)
         assert ok
 
     def test_uninformative_binary(self):
         x = FiniteSpace.of_size(2)
-        eps, h, ok = hellman_raviv_check(uninformative(x), uniform(x))
+        eps, h, ok = hellman_raviv_check(blind_kernel(x), uniform(x))
         assert eps == pytest.approx(1.0, abs=1e-12)
         assert h == pytest.approx(1.0, abs=1e-12)
         assert ok
