@@ -12,7 +12,6 @@ from .decisions import (
     bayes_act,
     bayes_decision_rule,
     conditional_entropy,
-    entropy,
     feature_gap,
     mutual_information,
     regret,
@@ -23,7 +22,6 @@ from .deficiency import (
     DeficiencyResult,
     SolverError,
     directed_deficiency,
-    weighted_deficiency,
     weighted_directed_deficiency,
 )
 from .fileio import ExperimentFile, SchemaError, load_experiment
@@ -71,7 +69,6 @@ __all__ = [
     "compose",
     "conditional_entropy",
     "directed_deficiency",
-    "entropy",
     "feature_gap",
     "generic_quality",
     "hellman_raviv_check",
@@ -87,7 +84,6 @@ __all__ = [
     "stack",
     "uniform",
     "value",
-    "weighted_deficiency",
     "weighted_directed_deficiency",
     "zero_one_loss",
 ]

@@ -1,4 +1,4 @@
-"""Losses, Bayes risk, the value of an experiment, regret and entropy utilities.
+"""Losses, the value of an experiment, regret, and information measures in bits.
 
 The value of an experiment under a loss and prior is the risk of the best
 decision rule that only sees the experiment's output.  It is computed as an
@@ -77,7 +77,7 @@ def value(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> fl
     loss; computed via the joint so outputs of zero marginal mass drop out.
     """
     _check_value_spaces(loss, prior, experiment)
-    return _value(experiment.matrix, prior.mass, loss.values)
+    return float(_value(experiment.matrix, prior.mass, loss.values))
 
 
 def _check_value_spaces(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> None:
@@ -87,10 +87,14 @@ def _check_value_spaces(loss: LossMatrix, prior: Distribution, experiment: Marko
         raise _mismatch("value: prior", loss.theta, prior.space)
 
 
-def _value(matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray) -> float:
-    """Array core of ``value``: experiment matrix, prior masses, loss values."""
+def _value(matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray) -> np.ndarray:
+    """Array core of ``value``: experiment matrix, prior masses, loss values.
+
+    Losses may be a stack shaped [..., theta, action]; the result holds one
+    value per loss.
+    """
     jm = matrix * mass[None, :]
-    return float((jm @ loss_values).min(axis=1).sum())
+    return (jm @ loss_values).min(axis=-1).sum(axis=-1)
 
 
 def bayes_decision_rule(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> MarkovKernel:
@@ -136,7 +140,7 @@ def _feature_gap(
     encoder_matrix: np.ndarray, matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray
 ) -> float:
     """Array core of ``feature_gap``: encoder matrix, then as ``_value``."""
-    return _value(encoder_matrix @ matrix, mass, loss_values) - _value(matrix, mass, loss_values)
+    return float(_value(encoder_matrix @ matrix, mass, loss_values) - _value(matrix, mass, loss_values))
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -154,11 +158,6 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     logs = [math.log(v) if v > 0 else -math.inf for v in y[support].tolist()]
     out[support] = x[support] * np.array(logs)
     return out
-
-
-def entropy(dist: Distribution) -> float:
-    """Shannon entropy in bits, with 0 log 0 = 0."""
-    return float(-_xlogy(dist.mass, dist.mass).sum() / _LN2)
 
 
 def conditional_entropy(prior: Distribution, encoder: MarkovKernel) -> float:

@@ -3,9 +3,9 @@
 How far one experiment is from simulating another: the prior-weighted
 directed deficiency is the smallest average l1 error achievable by
 post-processing, the directed deficiency takes the worst case over
-hypotheses (equivalently, the supremum over priors), and the weighted
-deficiency symmetrizes.  The public functions check spaces once; the two
-that return a ``DeficiencyResult`` also build the optimizing
+hypotheses (equivalently, the supremum over priors), and the symmetric
+deficiency is the larger of the two directions.  Both public functions
+check spaces once and return a ``DeficiencyResult``: delta, the optimizing
 post-processing kernel as a feasibility witness, and the gap between its
 residual and delta.  The ``_``-prefixed core takes and returns arrays.
 
@@ -256,10 +256,3 @@ def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> Deficiency
     residual = float(_residual_norms(t, u, witness.matrix).max())
     return DeficiencyResult(delta=delta, witness=witness, objective_gap=abs(residual - delta))
 
-
-def weighted_deficiency(first: MarkovKernel, second: MarkovKernel, prior: Distribution) -> float:
-    """Symmetrized weighted deficiency: max of the two directed solves."""
-    _check_pair(first, second, prior)
-    t, u, mass = first.matrix, second.matrix, prior.mass
-    (d12, _), (d21, _) = _weighted_batch([(t, u, mass), (u, t, mass)])
-    return max(d12, d21)

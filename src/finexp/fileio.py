@@ -71,6 +71,15 @@ def _entries(doc: dict, key: str, what: str):
         yield name, body
 
 
+#: The sections after "spaces", in load order: (section, entry noun,
+#: constructor, fields naming its spaces, field holding its array).
+_SECTIONS = (
+    ("distributions", "distribution", Distribution, ("space",), "mass"),
+    ("kernels", "kernel", MarkovKernel, ("from", "to"), "matrix"),
+    ("losses", "loss", LossMatrix, ("theta", "actions"), "values"),
+)
+
+
 def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> ExperimentFile:
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
@@ -87,32 +96,16 @@ def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> Experimen
                 f"space {name!r} has {space.size} labels, above the cap of {max_dim}"
             )
         out.spaces[name] = space
-    for name, body in _entries(doc, "distributions", "distribution"):
-        try:
-            space = _space_ref(out.spaces, body.get("space"), f"distribution {name!r}")
-            out.distributions[name] = Distribution(space, np.asarray(body["mass"], dtype=float))
-        except SchemaError:
-            raise
-        except (TypeError, ValueError, KeyError) as err:
-            raise SchemaError(f"distribution {name!r}: {err}") from None
-    for name, body in _entries(doc, "kernels", "kernel"):
-        try:
-            source = _space_ref(out.spaces, body.get("from"), f"kernel {name!r}")
-            target = _space_ref(out.spaces, body.get("to"), f"kernel {name!r}")
-            out.kernels[name] = MarkovKernel(source, target, np.asarray(body["matrix"], dtype=float))
-        except SchemaError:
-            raise
-        except (TypeError, ValueError, KeyError) as err:
-            raise SchemaError(f"kernel {name!r}: {err}") from None
-    for name, body in _entries(doc, "losses", "loss"):
-        try:
-            theta = _space_ref(out.spaces, body.get("theta"), f"loss {name!r}")
-            actions = _space_ref(out.spaces, body.get("actions"), f"loss {name!r}")
-            out.losses[name] = LossMatrix(theta, actions, np.asarray(body["values"], dtype=float))
-        except SchemaError:
-            raise
-        except (TypeError, ValueError, KeyError) as err:
-            raise SchemaError(f"loss {name!r}: {err}") from None
+    for key, what, build, space_fields, data_field in _SECTIONS:
+        table = getattr(out, key)
+        for name, body in _entries(doc, key, what):
+            try:
+                spaces = [_space_ref(out.spaces, body.get(f), f"{what} {name!r}") for f in space_fields]
+                table[name] = build(*spaces, np.asarray(body[data_field], dtype=float))
+            except SchemaError:
+                raise
+            except (TypeError, ValueError, KeyError) as err:
+                raise SchemaError(f"{what} {name!r}: {err}") from None
     return out
 
 

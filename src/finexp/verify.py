@@ -10,7 +10,12 @@ identical reports.
 The suites that solve deficiency LPs draw every trial first, then solve all
 of their LPs in one batch, then judge each trial.  No solve consumes the
 generator, so the draws keep the order of a trial-by-trial loop; batching
-saves scipy's per-call overhead, which is most of a small solve.
+saves scipy's per-call overhead, which is most of a small solve.  These
+suites draw plain arrays and compute through the library's array cores
+(``_value``, ``_generic_quality`` and the weighted LP batch), so no draw is
+wrapped in a validated object.  The suites that test a public function
+(``stacking``, ``gap_regret_identity``, ``ib``, ``hellman_raviv`` and the
+value and autoencoder oracles) call it on validated objects.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .bottleneck import ib_distortion, ib_learn
-from .decisions import _feature_gap, feature_gap, regret, value
+from .decisions import _feature_gap, _value, feature_gap, regret, value
 from .deficiency import _weighted_batch
-from .kernels import FiniteSpace, bayes_inverse, compose, pushforward
-from .reconstruction import _generic_quality, autoencode, generic_quality, hellman_raviv_check, stack
+from .kernels import Distribution, FiniteSpace, MarkovKernel, bayes_inverse, compose, pushforward
+from .reconstruction import _generic_quality, autoencode, hellman_raviv_check, stack
 from .sampling import _random_columns, random_distribution, random_kernel, random_loss
 
 #: Random losses sampled per trial of ``value_gap_bound``.
@@ -81,15 +86,18 @@ def _space_sizes(rng: np.random.Generator, max_dim: int, n: int) -> list[int]:
 
 
 def _problem(rng, max_dim, n_outputs=1):
-    """Random hypotheses, prior, and experiments into fresh output spaces."""
+    """Prior masses over random hypotheses, and experiment matrices from them to random output sizes."""
     sizes = _space_sizes(rng, max_dim, 1 + n_outputs)
-    theta = FiniteSpace.of_size(sizes[0], "t")
-    prior = random_distribution(rng, theta)
-    outs = []
-    for i, size in enumerate(sizes[1:]):
-        space = FiniteSpace.of_size(size, f"o{i}_")
-        outs.append(random_kernel(rng, theta, space))
-    return theta, prior, outs
+    mass = rng.dirichlet(np.ones(sizes[0]))
+    return mass, [_random_columns(rng, sizes[0], size) for size in sizes[1:]]
+
+
+def _objects(mass, matrices):
+    """Hypothesis space, prior and experiments wrapping ``_problem``'s arrays."""
+    theta = FiniteSpace.of_size(mass.size, "t")
+    return theta, Distribution(theta, mass), [
+        MarkovKernel(theta, FiniteSpace.of_size(m.shape[0], f"o{i}_"), m) for i, m in enumerate(matrices)
+    ]
 
 
 def _deltas(problems) -> list[float]:
@@ -103,38 +111,31 @@ def _symmetric(pairs) -> list[float]:
     return [max(d12, d21) for d12, d21 in zip(both[::2], both[1::2])]
 
 
-def _batch_values(joint: np.ndarray, losses: np.ndarray) -> np.ndarray:
-    """Value of one experiment under a batch of losses; losses shaped [n, theta, action]."""
-    return np.einsum("xt,nta->nxa", joint, losses).min(axis=2).sum(axis=1)
-
-
 def suite_randomization(rng, trials, max_dim) -> Iterable[Check]:
     """Simulation error bounds the value advantage, loss by loss."""
     drawn = []
     for _ in range(trials):
-        theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
-        actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
-        drawn.append((prior, t_exp, u_exp, random_loss(rng, theta, actions)))
-    deltas = _deltas((t_exp.matrix, u_exp.matrix, prior.mass) for prior, t_exp, u_exp, _ in drawn)
-    for i, ((prior, t_exp, u_exp, loss), delta) in enumerate(zip(drawn, deltas)):
-        lhs = value(loss, prior, t_exp)
-        rhs = value(loss, prior, u_exp) + delta * loss.sup_norm
-        yield Check(f"trial{i}", lhs - rhs, 1e-6)
+        mass, (t, u) = _problem(rng, max_dim, 2)
+        na = int(rng.integers(2, max(3, max_dim) + 1))
+        drawn.append((t, u, mass, rng.uniform(-1.0, 1.0, size=(mass.size, na))))
+    deltas = _deltas((t, u, mass) for t, u, mass, _ in drawn)
+    for i, ((t, u, mass, loss), delta) in enumerate(zip(drawn, deltas)):
+        lhs = _value(t, mass, loss)
+        rhs = _value(u, mass, loss) + delta * np.abs(loss).max()
+        yield Check(f"trial{i}", float(lhs - rhs), 1e-6)
 
 
 def suite_value_gap_bound(rng, trials, max_dim) -> Iterable[Check]:
     """Sampled normalized value gaps never exceed the symmetric deficiency."""
     drawn, sampled = [], []
     for _ in range(trials):
-        theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
+        mass, (t, u) = _problem(rng, max_dim, 2)
         na = int(rng.integers(2, max(3, max_dim) + 1))
-        losses = rng.uniform(-1.0, 1.0, size=(_LOSSES_PER_TRIAL, theta.size, na))
+        losses = rng.uniform(-1.0, 1.0, size=(_LOSSES_PER_TRIAL, mass.size, na))
         # reduced as drawn: keeping every trial's losses would hold 14 MB at max_dim 6
         norms = np.abs(losses).max(axis=(1, 2))
-        jt = t_exp.matrix * prior.mass[None, :]
-        ju = u_exp.matrix * prior.mass[None, :]
-        ratios = np.abs(_batch_values(jt, losses) - _batch_values(ju, losses)) / norms
-        drawn.append((t_exp.matrix, u_exp.matrix, prior.mass))
+        ratios = np.abs(_value(t, mass, losses) - _value(u, mass, losses)) / norms
+        drawn.append((t, u, mass))
         sampled.append(float(ratios.max()))
     for i, (ratio, delta) in enumerate(zip(sampled, _symmetric(drawn))):
         yield Check(f"trial{i}", ratio - delta, 1e-6)
@@ -152,23 +153,18 @@ def suite_binary_cost_sweep(rng, trials, max_dim) -> Iterable[Check]:
     supremum cannot approach the deficiency at all.
     """
     grid = np.linspace(1.0 / (_GRID_POINTS + 1), _GRID_POINTS / (_GRID_POINTS + 1), _GRID_POINTS)
-    cost_cols = np.stack([grid, -(1.0 - grid)], axis=1)  # action-one column per grid point
-    norms = np.maximum(grid, 1.0 - grid)
+    costs = np.stack([grid, -(1.0 - grid)], axis=1)  # [grid point, theta]
+    losses = np.stack([costs, -costs], axis=2)  # two centered actions per grid point
+    norms = np.abs(losses).max(axis=(1, 2))
     hi = min(max_dim, 4)
     drawn = []
     for _ in range(trials):
-        theta = FiniteSpace.of_size(2, "t")
-        prior = random_distribution(rng, theta)
-        t_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "x"))
-        u_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "y"))
-        drawn.append((t_exp.matrix, u_exp.matrix, prior.mass))
+        mass = rng.dirichlet(np.ones(2))
+        t = _random_columns(rng, 2, int(rng.integers(2, hi + 1)))
+        u = _random_columns(rng, 2, int(rng.integers(2, hi + 1)))
+        drawn.append((t, u, mass))
     for i, ((t, u, mass), delta) in enumerate(zip(drawn, _symmetric(drawn))):
-        jt = t * mass[None, :]
-        ju = u * mass[None, :]
-        # two centered actions means the per-symbol minimum is -|.|
-        vt = np.minimum(jt @ cost_cols.T, -(jt @ cost_cols.T)).sum(axis=0)
-        vu = np.minimum(ju @ cost_cols.T, -(ju @ cost_cols.T)).sum(axis=0)
-        sampled = float((np.abs(vt - vu) / norms).max())
+        sampled = float((np.abs(_value(t, mass, losses) - _value(u, mass, losses)) / norms).max())
         yield Check(f"trial{i}", delta - sampled, 0.05)
 
 
@@ -176,15 +172,11 @@ def suite_encoder_shift_bound(rng, trials, max_dim) -> Iterable[Check]:
     """Encoding an experiment moves it by at most the encoder's reconstruction quality."""
     drawn = []
     for _ in range(trials):
-        theta, prior, (t_exp,) = _problem(rng, max_dim, 1)
-        code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
-        drawn.append((prior, t_exp, random_kernel(rng, t_exp.target, code)))
-    shifts = _symmetric(
-        (t_exp.matrix, encoder.matrix @ t_exp.matrix, prior.mass) for prior, t_exp, encoder in drawn
-    )
-    for i, ((prior, t_exp, encoder), lhs) in enumerate(zip(drawn, shifts)):
-        rhs = generic_quality(encoder, pushforward(t_exp, prior))
-        yield Check(f"trial{i}", lhs - rhs, 1e-6)
+        mass, (t,) = _problem(rng, max_dim, 1)
+        drawn.append((t, mass, _random_columns(rng, t.shape[0], int(rng.integers(2, max_dim + 1)))))
+    shifts = _symmetric((t, encoder @ t, mass) for t, mass, encoder in drawn)
+    for i, ((t, mass, encoder), lhs) in enumerate(zip(drawn, shifts)):
+        yield Check(f"trial{i}", lhs - _generic_quality(encoder, t @ mass), 1e-6)
 
 
 def suite_quality_certificate(rng, trials, max_dim) -> Iterable[Check]:
@@ -194,29 +186,29 @@ def suite_quality_certificate(rng, trials, max_dim) -> Iterable[Check]:
     against it (the data prior, and with it the quality, follows from each
     problem's experiment and prior); the LP cross-check runs once per trial,
     on the last problem's data prior, and all of them are solved as one
-    batch after the draws.  The inner problems are drawn and solved as
-    arrays, through the cores of ``generic_quality`` and ``feature_gap``.
+    batch after the draws.  The encoder and the inner problems are drawn
+    and solved as arrays, through the cores of ``generic_quality`` and
+    ``feature_gap``.
     """
     bounds, cross = [], []
     for _ in range(trials):
-        x_space = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "x")
-        code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
-        encoder = random_kernel(rng, x_space, code)
+        nx = int(rng.integers(2, max_dim + 1))
+        encoder = _random_columns(rng, nx, int(rng.integers(2, max_dim + 1)))
         worst = -np.inf
         data_mass = None
         eps = 0.0
         for _ in range(_PROBLEMS_PER_ENCODER):
             nt = int(rng.integers(2, max_dim + 1))
             mass = rng.dirichlet(np.ones(nt))
-            t_matrix = _random_columns(rng, nt, x_space.size)
+            t_matrix = _random_columns(rng, nt, nx)
             data_mass = t_matrix @ mass
-            eps = _generic_quality(encoder.matrix, data_mass)
+            eps = _generic_quality(encoder, data_mass)
             na = int(rng.integers(2, max(3, max_dim) + 1))
             loss_values = rng.uniform(-1.0, 1.0, size=(nt, na))
-            gap = _feature_gap(encoder.matrix, t_matrix, mass, loss_values)
+            gap = _feature_gap(encoder, t_matrix, mass, loss_values)
             worst = max(worst, gap - eps * float(np.abs(loss_values).max()))
         bounds.append((worst, eps))
-        cross.append((encoder.matrix, np.eye(x_space.size), data_mass))
+        cross.append((encoder, np.eye(nx), data_mass))
     for i, ((worst, eps), lp) in enumerate(zip(bounds, _deltas(cross))):
         yield Check(f"trial{i}_bound", worst, 1e-6)
         yield Check(f"trial{i}_lp_match", abs(eps - lp), 1e-6)
@@ -243,8 +235,8 @@ def suite_triangle(rng, trials, max_dim) -> Iterable[Check]:
     drawn = [_problem(rng, max_dim, 3) for _ in range(trials)]
     # per trial: both directions of (1, 2), (2, 3) and (1, 3), then 1 against itself
     deltas = _deltas(
-        (a.matrix, b.matrix, prior.mass)
-        for _, prior, (t1, t2, t3) in drawn
+        (a, b, mass)
+        for mass, (t1, t2, t3) in drawn
         for a, b in ((t1, t2), (t2, t1), (t2, t3), (t3, t2), (t1, t3), (t3, t1), (t1, t1))
     )
     for i in range(trials):
@@ -261,7 +253,7 @@ def suite_gap_regret_identity(rng, trials, max_dim) -> Iterable[Check]:
     helper, independent of the vectorized paths.
     """
     for i in range(trials):
-        theta, prior, (t_exp,) = _problem(rng, max_dim, 1)
+        theta, prior, (t_exp,) = _objects(*_problem(rng, max_dim, 1))
         code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
         encoder = random_kernel(rng, t_exp.target, code)
         actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
@@ -283,7 +275,7 @@ def suite_gap_regret_identity(rng, trials, max_dim) -> Iterable[Check]:
 def suite_ib(rng, trials, max_dim) -> Iterable[Check]:
     """Alternating minimization: monotone traces, and zero residual gap when codes suffice."""
     for i in range(trials):
-        theta, prior, (t_exp,) = _problem(rng, max_dim, 1)
+        theta, prior, (t_exp,) = _objects(*_problem(rng, max_dim, 1))
         actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
         loss = random_loss(rng, theta, actions)
         seed = int(rng.integers(0, 2**31 - 1))
@@ -340,11 +332,10 @@ def suite_oracle_generic(rng, trials, max_dim) -> Iterable[Check]:
     for _ in range(trials):
         n = int(rng.integers(2, max_dim + 1))
         nz = int(rng.integers(1, max_dim + 1))
-        prior = random_distribution(rng, FiniteSpace.of_size(n, "x"))
-        drawn.append((prior, random_kernel(rng, prior.space, FiniteSpace.of_size(nz, "z"))))
-    lps = _deltas((encoder.matrix, np.eye(prior.space.size), prior.mass) for prior, encoder in drawn)
-    for i, ((prior, encoder), lp) in enumerate(zip(drawn, lps)):
-        yield Check(f"trial{i}", abs(generic_quality(encoder, prior) - lp), 1e-6)
+        mass = rng.dirichlet(np.ones(n))
+        drawn.append((_random_columns(rng, n, nz), np.eye(n), mass))
+    for i, ((encoder, _, mass), lp) in enumerate(zip(drawn, _deltas(drawn))):
+        yield Check(f"trial{i}", abs(_generic_quality(encoder, mass) - lp), 1e-6)
 
 
 def suite_oracle_autoencode(rng, trials, max_dim) -> Iterable[Check]:

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from finexp.decisions import LossMatrix, value
+from finexp.deficiency import weighted_directed_deficiency
 from finexp.kernels import Distribution, FiniteSpace, MarkovKernel
 
 sizes = st.integers(min_value=1, max_value=5)
@@ -99,3 +100,17 @@ def bayes_risk(loss, prior, rule):
 def information_gap(loss, prior, experiment):
     """Value gained by the experiment over deciding from the prior alone."""
     return float((prior.mass @ loss.values).min()) - value(loss, prior, experiment)
+
+
+def symmetric_deficiency(first, second, prior):
+    """The weighted deficiency in both directions, one solve each, and the larger of the two."""
+    return max(
+        weighted_directed_deficiency(first, second, prior).delta,
+        weighted_directed_deficiency(second, first, prior).delta,
+    )
+
+
+def entropy(dist):
+    """Shannon entropy in bits, with 0 log 0 = 0."""
+    p = dist.mass[dist.mass > 0]
+    return float(-(p * np.log2(p)).sum())

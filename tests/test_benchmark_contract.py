@@ -3,8 +3,10 @@
 ``perfbench/tracing.py`` wraps the names in ``SPANNED`` and reads fields of
 the results, and every perfbench module calls finexp through
 ``finexp.<name>`` chains; a name that no longer resolves drops per-layer
-metrics from a traced run or fails a workload.  These tests find that in a
-second instead of a minute-long run.
+metrics from a traced run or fails a workload.  ``perfbench/checks.py``
+expects a fixed number of checks from each verify suite, and another count
+fails the run's outputs.  These tests find either in a second instead of a
+minute-long run.
 """
 
 import ast
@@ -17,26 +19,35 @@ import pytest
 
 from finexp.kernels import FiniteSpace, uniform
 from finexp.reconstruction import autoencode
+from finexp.verify import run_suite
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
-def tracing(monkeypatch):
+def perfbench(monkeypatch):
+    """``importlib.import_module`` for perfbench's modules, which are forgotten afterwards."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     before = set(sys.modules)
-    yield importlib.import_module("tracing")
+    yield importlib.import_module
     for name in {"tracing", "checks", "workloads"} - before:
         sys.modules.pop(name, None)
 
 
-def test_spanned_names_resolve(tracing):
+def test_spanned_names_resolve(perfbench):
     missing = [
         (module, attr)
-        for module, attr, _ in tracing.SPANNED
+        for module, attr, _ in perfbench("tracing").SPANNED
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing
+
+
+def test_verify_check_counts_match_perfbench(perfbench):
+    """Every suite runs the number of checks perfbench's ``VERIFY_CHECKS`` expects of it."""
+    trials = 3
+    for name, (per_trial, fixed) in perfbench("checks").VERIFY_CHECKS.items():
+        assert run_suite(name, trials=trials, seed=0, max_dim=4).checks == per_trial * trials + fixed, name
 
 
 def _finexp_chains() -> set[str]:

@@ -228,6 +228,50 @@ class TestAutoencode:
         assert capsys.readouterr().out == ""
 
 
+class TestAllowLarge:
+    """--allow-large lifts the 32-label cap on file spaces and code sizes, and warns on stderr."""
+
+    WARNING = "warning: per-space size cap disabled; dense LP solves may be slow\n"
+
+    @pytest.fixture
+    def large_file(self, tmp_path):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({
+            "spaces": {"V": [f"v{i}" for i in range(33)]},
+            "distributions": {"uniform33": {"space": "V", "mass": [1.0 / 33] * 33}},
+        }))
+        return str(path)
+
+    def _with_flag(self, capfd, argv) -> dict:
+        assert main(argv + ["--allow-large"]) == 0
+        captured = capfd.readouterr()
+        assert captured.err == self.WARNING
+        assert captured.out.endswith("\n")
+        assert captured.out.count("\n") == 1
+        return json.loads(captured.out, parse_constant=_reject_constant)
+
+    def test_33_labels_load_only_with_the_flag(self, capfd, large_file):
+        argv = ["autoencode", large_file, "--prior", "uniform33", "--latent", "2"]
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: space 'V' has 33 labels, above the cap of 32\n"
+        out = self._with_flag(capfd, argv)
+        assert out["epsilon"] == pytest.approx(2.0 * 31 / 33, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["autoencode", "ib"])
+    def test_latent_33_runs_only_with_the_flag(self, capfd, sample_file, command):
+        argv = [command, sample_file, "--prior", "uniform", "--latent", "33"]
+        if command == "ib":
+            argv += ["--experiment", "bsc", "--loss", "zero_one"]
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --latent 33 exceeds the cap of 32; pass --allow-large to lift it\n"
+        out = self._with_flag(capfd, argv)
+        assert len(out["encoder"]) == 33
+
+
 class TestStack:
     def test_uniform4_two_one(self, capsys, sample_file):
         code, out = run(capsys, ["stack", sample_file, "--prior", "uniform4", "--sizes", "2,1"])

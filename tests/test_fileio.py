@@ -65,6 +65,32 @@ class TestLoad:
         with pytest.raises(SchemaError, match=section):
             experiment_from_dict(doc)
 
+    @pytest.mark.parametrize("section, body, message", [
+        ("distributions", {"space": "Nope", "mass": [0.5, 0.5]},
+         "distribution 'bad': unknown space 'Nope'; available: ['A', 'Theta', 'X']"),
+        ("distributions", {"space": "Theta"}, "distribution 'bad': 'mass'"),
+        ("distributions", {"space": "Theta", "mass": [1.0, 2.0, 3.0]},
+         "distribution 'bad': distribution over ('h0', 'h1') needs shape (2,), got (3,)"),
+        ("kernels", {"from": "Nope1", "to": "Nope2", "matrix": [[1.0]]},
+         "kernel 'bad': unknown space 'Nope1'; available: ['A', 'Theta', 'X']"),
+        ("kernels", {"from": "Theta", "to": "Nope", "matrix": [[1.0]]},
+         "kernel 'bad': unknown space 'Nope'; available: ['A', 'Theta', 'X']"),
+        ("kernels", {"from": "Theta", "to": "X"}, "kernel 'bad': 'matrix'"),
+        ("kernels", {"from": "Theta", "to": "X", "matrix": [[0.5, "x"]]},
+         "kernel 'bad': could not convert string to float: 'x'"),
+        ("losses", {"theta": "Theta", "actions": "Nope", "values": [[0.0]]},
+         "loss 'bad': unknown space 'Nope'; available: ['A', 'Theta', 'X']"),
+        ("losses", {"theta": "Theta", "actions": "A"}, "loss 'bad': 'values'"),
+        ("losses", {"theta": "Theta", "actions": "A", "values": [1.0, 2.0, 3.0]},
+         "loss 'bad': loss needs shape (2, 2), got (3,)"),
+    ])
+    def test_entry_error_messages(self, section, body, message):
+        doc = json.loads(json.dumps(SAMPLE))
+        doc[section]["bad"] = body
+        with pytest.raises(SchemaError) as err:
+            experiment_from_dict(doc)
+        assert str(err.value) == message
+
     def test_unknown_name_lookup(self):
         ef = experiment_from_dict(SAMPLE)
         with pytest.raises(SchemaError, match="unknown kernel"):

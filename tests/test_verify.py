@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from finexp.decisions import LossMatrix, _feature_gap, _value, feature_gap, value
-from finexp.deficiency import weighted_deficiency, weighted_directed_deficiency
+from finexp.deficiency import weighted_directed_deficiency
 from finexp.kernels import (
     Distribution,
     FiniteSpace,
@@ -14,9 +16,9 @@ from finexp.kernels import (
 )
 from finexp.reconstruction import _generic_quality, generic_quality
 from finexp.sampling import random_distribution, random_kernel, random_loss
-from finexp.verify import SUITES, _SUITE_SALT, _batch_values, _problem, run_suite, suite_quality_certificate
+from finexp.verify import SUITES, _SUITE_SALT, _objects, _problem, run_suite, suite_quality_certificate
 
-from strategies import identity_kernel
+from strategies import identity_kernel, symmetric_deficiency
 
 
 def reference_quality_certificate(rng, trials, max_dim, problems_per_encoder: int = 100):
@@ -57,7 +59,7 @@ def test_quality_certificate_matches_object_reference(seed):
 
 def reference_randomization(rng, trials, max_dim):
     for i in range(trials):
-        theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
+        theta, prior, (t_exp, u_exp) = _objects(*_problem(rng, max_dim, 2))
         actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
         loss = random_loss(rng, theta, actions)
         delta = weighted_directed_deficiency(t_exp, u_exp, prior).delta
@@ -68,14 +70,16 @@ def reference_randomization(rng, trials, max_dim):
 
 def reference_value_gap_bound(rng, trials, max_dim, losses_per_trial=500):
     for i in range(trials):
-        theta, prior, (t_exp, u_exp) = _problem(rng, max_dim, 2)
-        delta = weighted_deficiency(t_exp, u_exp, prior)
+        theta, prior, (t_exp, u_exp) = _objects(*_problem(rng, max_dim, 2))
+        delta = symmetric_deficiency(t_exp, u_exp, prior)
         na = int(rng.integers(2, max(3, max_dim) + 1))
         losses = rng.uniform(-1.0, 1.0, size=(losses_per_trial, theta.size, na))
         norms = np.abs(losses).max(axis=(1, 2))
         jt = t_exp.matrix * prior.mass[None, :]
         ju = u_exp.matrix * prior.mass[None, :]
-        ratios = np.abs(_batch_values(jt, losses) - _batch_values(ju, losses)) / norms
+        vt = np.einsum("xt,nta->nxa", jt, losses).min(axis=2).sum(axis=1)
+        vu = np.einsum("xt,nta->nxa", ju, losses).min(axis=2).sum(axis=1)
+        ratios = np.abs(vt - vu) / norms
         yield (f"trial{i}", float(ratios.max()) - delta, 1e-6)
 
 
@@ -89,7 +93,7 @@ def reference_binary_cost_sweep(rng, trials, max_dim, grid_points=200):
         hi = min(max_dim, 4)
         t_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "x"))
         u_exp = random_kernel(rng, theta, FiniteSpace.of_size(int(rng.integers(2, hi + 1)), "y"))
-        delta = weighted_deficiency(t_exp, u_exp, prior)
+        delta = symmetric_deficiency(t_exp, u_exp, prior)
         jt = t_exp.matrix * prior.mass[None, :]
         ju = u_exp.matrix * prior.mass[None, :]
         vt = np.minimum(jt @ cost_cols.T, -(jt @ cost_cols.T)).sum(axis=0)
@@ -100,20 +104,20 @@ def reference_binary_cost_sweep(rng, trials, max_dim, grid_points=200):
 
 def reference_encoder_shift_bound(rng, trials, max_dim):
     for i in range(trials):
-        theta, prior, (t_exp,) = _problem(rng, max_dim, 1)
+        theta, prior, (t_exp,) = _objects(*_problem(rng, max_dim, 1))
         code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
         encoder = random_kernel(rng, t_exp.target, code)
-        lhs = weighted_deficiency(t_exp, compose(encoder, t_exp), prior)
+        lhs = symmetric_deficiency(t_exp, compose(encoder, t_exp), prior)
         rhs = generic_quality(encoder, pushforward(t_exp, prior))
         yield (f"trial{i}", lhs - rhs, 1e-6)
 
 
 def reference_triangle(rng, trials, max_dim):
     for i in range(trials):
-        theta, prior, (t1, t2, t3) = _problem(rng, max_dim, 3)
-        d12 = weighted_deficiency(t1, t2, prior)
-        d23 = weighted_deficiency(t2, t3, prior)
-        d13 = weighted_deficiency(t1, t3, prior)
+        theta, prior, (t1, t2, t3) = _objects(*_problem(rng, max_dim, 3))
+        d12 = symmetric_deficiency(t1, t2, prior)
+        d23 = symmetric_deficiency(t2, t3, prior)
+        d13 = symmetric_deficiency(t1, t3, prior)
         yield (f"trial{i}_triangle", d13 - (d12 + d23), 1e-6)
         yield (f"trial{i}_self", weighted_directed_deficiency(t1, t1, prior).delta, 1e-7)
 
@@ -153,6 +157,22 @@ def test_batched_suite_matches_trial_by_trial_reference(name, seed):
             assert check.violation == violation, check.name
         else:
             assert abs(check.violation - violation) <= 1e-12, check.name
+
+
+def test_lp_suites_build_no_validated_objects(monkeypatch):
+    """The LP-backed suites draw and compute on arrays: they build no space, distribution, kernel or loss."""
+    built = Counter()
+    for cls in (FiniteSpace, Distribution, MarkovKernel, LossMatrix):
+        def counted(obj, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for name in LP_SUITE_REFERENCES:
+        assert run_suite(name, trials=3, seed=0, max_dim=4).checks > 0
+    assert not built
+    uniform(FiniteSpace.of_size(2))
+    assert built == {"FiniteSpace": 1, "Distribution": 1}
 
 
 def test_triangle_batches_its_lps(linprog_calls):
