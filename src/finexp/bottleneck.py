@@ -8,6 +8,9 @@ code prior moves to the encoder's marginal, and encoder columns follow a
 Gibbs rule (a hard argmin assignment in the beta = 0 limit).  Every update
 weakly decreases the objective, so traces are non-increasing and the
 beta = 0 dynamics terminate at a finite fixed point.
+
+Each iteration builds one regret table, for the centroids fixed at its
+start, and shares it between the encoder update and the objective.
 """
 
 from __future__ import annotations
@@ -69,21 +72,17 @@ def _regret_table(problem: _Problem, centroids: np.ndarray) -> np.ndarray:
     return problem.exp_post[:, acts] - problem.best[:, None]
 
 
-def _distortion(problem: _Problem, enc: np.ndarray, centroids: np.ndarray) -> float:
-    table = _regret_table(problem, centroids)
-    return float(np.einsum("x,zx,xz->", problem.px, enc, table))
-
-
 def _objective(
-    problem: _Problem, enc: np.ndarray, centroids: np.ndarray, latent_prior: np.ndarray, beta: float
+    problem: _Problem, enc: np.ndarray, table: np.ndarray, latent_prior: np.ndarray, beta: float
 ) -> float:
     """Regret term plus beta times the px-weighted KL(encoder column || latent prior).
 
-    The KL is in nats, which keeps the Gibbs encoder update the exact
-    minimizer of the penalized column subproblem.  It is +inf when an input
-    of positive mass puts mass on a code the reference prior gives zero.
+    ``table`` is the regret table of the centroids.  The KL is in nats,
+    which keeps the Gibbs encoder update the exact minimizer of the
+    penalized column subproblem.  It is +inf when an input of positive
+    mass puts mass on a code the reference prior gives zero.
     """
-    distortion = _distortion(problem, enc, centroids)
+    distortion = float(np.einsum("x,zx,xz->", problem.px, enc, table))
     if beta == 0:
         return distortion
     seen = problem.px > 0
@@ -98,21 +97,22 @@ def _objective(
     return distortion + beta * float(sum(problem.px[seen] * kl, 0.0))
 
 
+def _state_objective(
+    state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel, beta: float
+) -> float:
+    problem = _problem(loss, prior, experiment)
+    table = _regret_table(problem, state.centroid_posteriors.matrix)
+    return _objective(problem, state.encoder.matrix, table, state.latent_prior.mass, beta)
+
+
 def ib_distortion(state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:
     """The regret part of the objective (the value lost to encoding at a fixed point)."""
-    problem = _problem(loss, prior, experiment)
-    return _distortion(problem, state.encoder.matrix, state.centroid_posteriors.matrix)
+    return _state_objective(state, loss, prior, experiment, 0.0)
 
 
 def ib_objective(state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:
     """Regret term plus beta times the KL penalty; +inf on an infeasible reference prior."""
-    return _objective(
-        _problem(loss, prior, experiment),
-        state.encoder.matrix,
-        state.centroid_posteriors.matrix,
-        state.latent_prior.mass,
-        state.beta,
-    )
+    return _state_objective(state, loss, prior, experiment, state.beta)
 
 
 def centroid_step(problem: _Problem, enc: np.ndarray) -> np.ndarray:
@@ -141,12 +141,9 @@ def latent_prior_step(problem: _Problem, enc: np.ndarray) -> np.ndarray:
     return enc @ problem.px
 
 
-def encoder_step(
-    problem: _Problem, centroids: np.ndarray, latent_prior: np.ndarray, beta: float
-) -> np.ndarray:
-    """Gibbs encoder columns, or the argmin assignment at beta = 0."""
-    table = _regret_table(problem, centroids)
-    k, n = centroids.shape[1], problem.px.size
+def encoder_step(table: np.ndarray, latent_prior: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs encoder columns for a regret table, or the argmin assignment at beta = 0."""
+    n, k = table.shape
     if beta == 0:
         enc = np.zeros((k, n))
         enc[np.argmin(table, axis=1), np.arange(n)] = 1.0
@@ -170,17 +167,19 @@ def _seed_assignment(problem: _Problem, k: int, rng: np.random.Generator) -> np.
     its nearest seed.  With k at least the number of distinct posteriors
     this starts the beta = 0 dynamics at zero distortion.
     """
-    posts = problem.posts
     support = np.flatnonzero(problem.px > 0)
-    seeds = [int(rng.choice(support))]
-    while len(seeds) < k:
-        table = _regret_table(problem, posts[:, seeds])
-        nearest = table[support].min(axis=1)
-        if nearest.max() <= 1e-15:
+    seed = int(rng.choice(support))
+    nearest = _regret_table(problem, problem.posts[:, [seed]])[:, 0]
+    assign = np.zeros(nearest.size, dtype=int)
+    for z in range(1, k):
+        if nearest[support].max() <= 1e-15:
             break
-        seeds.append(int(support[np.argmax(nearest)]))
-    table = _regret_table(problem, posts[:, seeds])
-    return np.argmin(table, axis=1)
+        seed = int(support[np.argmax(nearest[support])])
+        column = _regret_table(problem, problem.posts[:, [seed]])[:, 0]
+        # strictly closer only, so ties stay with the earliest seed
+        assign[column < nearest] = z
+        nearest = np.minimum(nearest, column)
+    return assign
 
 
 def ib_learn(
@@ -210,14 +209,15 @@ def ib_learn(
     assign = _seed_assignment(problem, latent_size, rng)
     enc = np.zeros((latent_size, problem.px.size))
     enc[assign, np.arange(problem.px.size)] = 1.0
-    centroids = centroid_step(problem, enc)
-    latent_prior = latent_prior_step(problem, enc)
-    trace = [_objective(problem, enc, centroids, latent_prior, beta)]
+    trace = []
     for _ in range(max_iters):
         centroids = centroid_step(problem, enc)
         latent_prior = latent_prior_step(problem, enc)
-        enc = encoder_step(problem, centroids, latent_prior, beta)
-        trace.append(_objective(problem, enc, centroids, latent_prior, beta))
+        table = _regret_table(problem, centroids)
+        if not trace:
+            trace.append(_objective(problem, enc, table, latent_prior, beta))
+        enc = encoder_step(table, latent_prior, beta)
+        trace.append(_objective(problem, enc, table, latent_prior, beta))
         # "not >=" also stops on a NaN objective; the kernel check on return
         # then rejects the encoder
         if not trace[-2] - trace[-1] >= _CONVERGENCE_TOL:

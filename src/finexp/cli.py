@@ -1,10 +1,11 @@
 """Command line surface: value, deficiency, autoencode, stack, ib, verify.
 
 All results are JSON on stdout with sorted keys; diagnostics go to stderr.
-Exit codes: 0 success, 1 property failure, 2 input error, 3 conformance
-(space mismatch) error, 4 solver fault (the LP solver failed on a program
-that is feasible by construction).  Every command is deterministic given
-its flags: identical invocations produce identical bytes.
+Exit codes: 0 success, 1 property failure, 2 input error (including a
+size too large to allocate), 3 conformance (space mismatch) error, 4
+solver fault (the LP solver failed on a program that is feasible by
+construction).  Every command is deterministic given its flags:
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolverError as err:
         sys.stderr.write(f"solver fault: {err}\n")
         return EXIT_SOLVER_FAULT
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT_ERROR
 

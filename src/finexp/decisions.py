@@ -14,7 +14,7 @@ validated their inputs (the verify suites) skip the object layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class LossMatrix:
     theta: FiniteSpace
     actions: FiniteSpace
     values: np.ndarray
-    sup_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=float)
@@ -50,7 +49,6 @@ class LossMatrix:
             raise ValueError("loss range max - min overflows to infinity; rescale the loss")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "sup_norm", float(np.abs(v).max()))
 
 
 def zero_one_loss(space: FiniteSpace) -> LossMatrix:

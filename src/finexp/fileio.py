@@ -112,7 +112,7 @@ def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> Experimen
 def load_experiment(path: str | Path, max_dim: int = DEFAULT_MAX_DIM) -> ExperimentFile:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise SchemaError(f"cannot read experiment file {path}: {err}") from None
     except RecursionError:
         raise SchemaError(f"cannot read experiment file {path}: JSON nested too deeply") from None

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from finexp.kernels import FiniteSpace, uniform
+from finexp.bottleneck import ib_learn
+from finexp.decisions import zero_one_loss
+from finexp.kernels import FiniteSpace, MarkovKernel, uniform
 from finexp.reconstruction import autoencode
 from finexp.verify import run_suite
 
@@ -41,6 +43,36 @@ def test_spanned_names_resolve(perfbench):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing
+
+
+def test_ib_learn_reaches_every_wrapped_ib_step(perfbench, monkeypatch):
+    """A wrapped step that ``ib_learn`` no longer calls would read 0 in a traced run."""
+    steps = [
+        (module, attr)
+        for module, attr, name in perfbench("tracing").SPANNED
+        if name.startswith("bottleneck.") or name == "kernels.bayes_inverse"
+    ]
+    steps.remove(("finexp.bottleneck", "ib_learn"))
+    # the known exception: ib_learn never calls the public ib_objective (ROADMAP item 4)
+    steps.remove(("finexp.bottleneck", "ib_objective"))
+    reached = set()
+    for module, attr in steps:
+        orig = getattr(importlib.import_module(module), attr)
+
+        def counted(*args, _orig=orig, _attr=attr, **kwargs):
+            reached.add(_attr)
+            return _orig(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "finexp" or name.startswith("finexp."):
+                for key, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, key, counted)
+    theta = FiniteSpace.of_size(2, "t")
+    bsc = MarkovKernel(theta, FiniteSpace.of_size(2, "x"), [[0.9, 0.1], [0.1, 0.9]])
+    ib_learn(zero_one_loss(theta), uniform(theta), bsc, latent_size=2, beta=0.1)
+    assert sorted(reached) == sorted(attr for _, attr in steps)
+    assert len(steps) == 4
 
 
 def test_verify_check_counts_match_perfbench(perfbench):

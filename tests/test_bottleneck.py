@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import finexp.bottleneck
 from finexp.bottleneck import (
     IBState,
     _objective,
     _problem,
     _regret_table,
+    _seed_assignment,
     centroid_step,
     encoder_step,
     ib_distortion,
@@ -145,13 +147,14 @@ class TestSteps:
             state = ib_learn(loss, pi, exp, latent_size=2, beta=beta, max_iters=2, seed=t)
             problem = _problem(loss, pi, exp)
             enc, cents, q = state.encoder.matrix, state.centroid_posteriors.matrix, state.latent_prior.mass
-            objs = [_objective(problem, enc, cents, q, beta)]
+            objs = [_objective(problem, enc, _regret_table(problem, cents), q, beta)]
             cents = centroid_step(problem, enc)
-            objs.append(_objective(problem, enc, cents, q, beta))
+            table = _regret_table(problem, cents)
+            objs.append(_objective(problem, enc, table, q, beta))
             q = latent_prior_step(problem, enc)
-            objs.append(_objective(problem, enc, cents, q, beta))
-            enc = encoder_step(problem, cents, q, beta)
-            objs.append(_objective(problem, enc, cents, q, beta))
+            objs.append(_objective(problem, enc, table, q, beta))
+            enc = encoder_step(table, q, beta)
+            objs.append(_objective(problem, enc, table, q, beta))
             worst = max(worst, np.diff(objs).max())
         assert worst <= 1e-9
 
@@ -169,7 +172,7 @@ class TestSteps:
                 before = enc
                 centroids = centroid_step(problem, enc)
                 latent_prior = latent_prior_step(problem, enc)
-                enc = encoder_step(problem, centroids, latent_prior, 0.5)
+                enc = encoder_step(_regret_table(problem, centroids), latent_prior, 0.5)
                 if np.abs(enc - before).max() < 1e-13:
                     break
             encoder = MarkovKernel(exp.target, state.encoder.target, enc)
@@ -180,6 +183,80 @@ class TestSteps:
             means = posts.matrix @ inv.matrix
             live = np.flatnonzero(pushforward(encoder, px).mass > 0)
             np.testing.assert_allclose(centroids[:, live], means[:, live], atol=1e-9)
+
+
+class TestLoop:
+    """Each regret table is built once: one per iteration, one column per added seed."""
+
+    @pytest.fixture
+    def table_widths(self, monkeypatch):
+        widths = []
+
+        def counted(problem, centroids):
+            widths.append(centroids.shape[1])
+            return _regret_table(problem, centroids)
+
+        monkeypatch.setattr(finexp.bottleneck, "_regret_table", counted)
+        return widths
+
+    @staticmethod
+    def full_table_seeding(problem, k, rng):
+        """The reference: a table over every seed so far, each time one is added."""
+        support = np.flatnonzero(problem.px > 0)
+        seeds = [int(rng.choice(support))]
+        while len(seeds) < k:
+            nearest = _regret_table(problem, problem.posts[:, seeds])[support].min(axis=1)
+            if nearest.max() <= 1e-15:
+                break
+            seeds.append(int(support[np.argmax(nearest)]))
+        return np.argmin(_regret_table(problem, problem.posts[:, seeds]), axis=1)
+
+    def test_one_column_per_added_seed(self, table_widths):
+        # input x2 has posterior (1/2, 1/2, 0), so seeds acting 0 and 1 tie on it
+        theta = FiniteSpace.of_size(3, "t")
+        tied = MarkovKernel(theta, FiniteSpace.of_size(4, "x"),
+                            [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.25, 0.25, 0.0], [0.25, 0.25, 1.0]])
+        rng = np.random.default_rng(13)
+        problems = [(*random_problem(rng, nx=(2, 10)), int(rng.integers(1, 12))) for _ in range(40)]
+        problems += [(zero_one_loss(theta), uniform(theta), tied, 3)] * 8
+        for t, (loss, pi, exp, k) in enumerate(problems):
+            problem = _problem(loss, pi, exp)
+            expect = self.full_table_seeding(problem, k, np.random.default_rng(t))
+            table_widths.clear()
+            assign = _seed_assignment(problem, k, np.random.default_rng(t))
+            np.testing.assert_array_equal(assign, expect)
+            # each seed is nearest to itself, so every seed holds a code
+            assert table_widths == [1] * len(np.unique(assign))
+
+    def test_one_table_per_iteration(self, table_widths):
+        # inputs x_i and x_{i+4} point to hypothesis i, so seeding finds four
+        # seeds, and beta > 0 gives every code weight: no code ever dies
+        theta = FiniteSpace.of_size(4, "t")
+        m = np.random.default_rng(14).uniform(0.05, 0.1, (8, 4))
+        m[np.arange(4), np.arange(4)] += 0.5
+        m[np.arange(4, 8), np.arange(4)] += 0.3
+        exp = MarkovKernel(theta, FiniteSpace.of_size(8, "x"), m / m.sum(axis=0))
+        loss, pi = zero_one_loss(theta), uniform(theta)
+        for iters in (1, 2, 3, 200):
+            table_widths.clear()
+            state = ib_learn(loss, pi, exp, latent_size=4, beta=0.1, max_iters=iters)
+            iterations = len(state.objective_trace) - 1
+            assert table_widths == [1] * 4 + [4] * iterations
+        assert iterations < 200
+
+    def test_trace_ends_at_the_returned_state(self):
+        # the golden outputs never set --iters, so only this pins a run the cap stops
+        rng = np.random.default_rng(15)
+        for t in range(40):
+            loss, pi, exp = random_problem(rng)
+            beta = 0.0 if t % 2 == 0 else float(10 ** rng.uniform(-2, 1))
+            for iters in (1, 2, 3, 500):
+                state = ib_learn(loss, pi, exp, latent_size=2, beta=beta, max_iters=iters, seed=t)
+                assert len(state.objective_trace) - 1 <= iters
+                assert state.objective_trace[-1] == ib_objective(state, loss, pi, exp)
+                if beta == 0:
+                    assert state.objective_trace[-1] == ib_distortion(state, loss, pi, exp)
+            assert len(state.objective_trace) - 1 < 500
 
 
 class TestLearn:

@@ -271,6 +271,20 @@ class TestAllowLarge:
         out = self._with_flag(capfd, argv)
         assert len(out["encoder"]) == 33
 
+    @pytest.mark.parametrize("command, flags", [
+        ("autoencode", ["--latent", str(10**17)]),
+        ("stack", ["--sizes", str(10**17)]),
+        ("ib", ["--latent", str(10**17), "--experiment", "bsc", "--loss", "zero_one"]),
+    ])
+    def test_size_too_large_to_allocate_exits_2(self, capfd, sample_file, command, flags):
+        # 10**17 codes ask for at least 711 PiB, so numpy refuses before allocating
+        assert main([command, sample_file, "--prior", "uniform", *flags, "--allow-large"]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        warning, error = captured.err.splitlines()
+        assert warning + "\n" == self.WARNING
+        assert error.startswith("input error: Unable to allocate")
+
 
 class TestStack:
     def test_uniform4_two_one(self, capsys, sample_file):

@@ -35,12 +35,6 @@ def bsc(p):
 
 
 class TestLossMatrix:
-    def test_sup_norm_cached(self):
-        t = FiniteSpace.of_size(2, "t")
-        a = FiniteSpace.of_size(3, "a")
-        loss = LossMatrix(t, a, [[0.5, -2.0, 1.0], [0.1, 0.0, 1.5]])
-        assert loss.sup_norm == 2.0
-
     def test_rejects_non_finite(self):
         t = FiniteSpace.of_size(2, "t")
         with pytest.raises(ValueError, match="finite"):

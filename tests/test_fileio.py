@@ -31,7 +31,7 @@ class TestLoad:
         ef = experiment_from_dict(SAMPLE)
         assert ef.kernel("bsc").source == ef.spaces["Theta"]
         assert ef.distribution("uniform").mass.tolist() == [0.5, 0.5]
-        assert ef.loss("zero_one").sup_norm == 1.0
+        assert np.abs(ef.loss("zero_one").values).max() == 1.0
 
     def test_unknown_space_reference(self):
         doc = json.loads(json.dumps(SAMPLE))
@@ -102,6 +102,12 @@ class TestLoad:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(SchemaError):
+            load_experiment(bad)
+
+    def test_non_utf8_file_is_named(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"spaces": {"\xff": []}}')
+        with pytest.raises(SchemaError, match=f"cannot read experiment file {bad}: 'utf-8' codec"):
             load_experiment(bad)
 
 
