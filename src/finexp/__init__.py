@@ -38,10 +38,8 @@ from .kernels import (
 from .reconstruction import (
     AutoencoderResult,
     FeatureChain,
-    HellmanRavivCheck,
     autoencode,
     generic_quality,
-    hellman_raviv_check,
     stack,
 )
 from .verify import SUITES, SuiteReport, run_all, run_suite
@@ -53,7 +51,6 @@ __all__ = [
     "ExperimentFile",
     "FeatureChain",
     "FiniteSpace",
-    "HellmanRavivCheck",
     "IBState",
     "LossMatrix",
     "MarkovKernel",
@@ -71,7 +68,6 @@ __all__ = [
     "directed_deficiency",
     "feature_gap",
     "generic_quality",
-    "hellman_raviv_check",
     "ib_distortion",
     "ib_learn",
     "ib_objective",

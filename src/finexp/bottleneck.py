@@ -115,17 +115,20 @@ def ib_objective(state: IBState, loss: LossMatrix, prior: Distribution, experime
     return _state_objective(state, loss, prior, experiment, state.beta)
 
 
-def centroid_step(problem: _Problem, enc: np.ndarray) -> np.ndarray:
-    """Posterior-mean centroid per code; dead codes reseed to the worst-served input.
+def centroid_step(problem: _Problem, enc: np.ndarray, beta: float) -> np.ndarray:
+    """Posterior-mean centroid per code; at beta = 0, dead codes reseed to the worst-served input.
 
     A code with zero marginal mass contributes nothing to the objective, so
-    its centroid is free; parking it on the posterior of the input farthest
-    (in regret) from the live centroids gives the next assignment step an
-    escape from poor local optima.
+    its centroid is free.  At beta = 0, parking it on the posterior of the
+    input farthest (in regret) from the live centroids gives the next
+    assignment step an escape from poor local optima.  At beta > 0 a dead
+    code has reference mass 0, so its Gibbs weight is 0 whatever its
+    centroid: it never revives, and a reseed would build a regret table
+    for nothing.
     """
     enc_inv, dead = _bayes_inverse_matrix(enc, problem.px)
     centroids = problem.posts @ enc_inv
-    if dead:
+    if dead and beta == 0:
         live = [z for z in range(centroids.shape[1]) if z not in dead]
         table = _regret_table(problem, centroids[:, live])
         score = problem.px * table.min(axis=1)
@@ -211,7 +214,7 @@ def ib_learn(
     enc[assign, np.arange(problem.px.size)] = 1.0
     trace = []
     for _ in range(max_iters):
-        centroids = centroid_step(problem, enc)
+        centroids = centroid_step(problem, enc, beta)
         latent_prior = latent_prior_step(problem, enc)
         table = _regret_table(problem, centroids)
         if not trace:

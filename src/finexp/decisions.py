@@ -127,9 +127,7 @@ def feature_gap(
 ) -> float:
     """Value lost by deciding from encoded data instead of raw data (>= 0)."""
     if encoder.source != experiment.target:
-        raise _mismatch(
-            "compose: outer input must match inner output", experiment.target, encoder.source
-        )
+        raise _mismatch("feature_gap: encoder input", experiment.target, encoder.source)
     _check_value_spaces(loss, prior, experiment)
     return _feature_gap(encoder.matrix, experiment.matrix, prior.mass, loss.values)
 

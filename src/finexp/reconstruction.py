@@ -3,11 +3,13 @@
 An encoder's generic quality is twice the smallest achievable probability of
 failing to reconstruct the input from the code.  That number certifies the
 encoder against every downstream task: whatever the loss, switching to the
-encoded data costs at most quality times the loss's sup-norm.  The quality
-of the best decoder has a closed form (decode each code to its most probable
-preimage), which the LP deficiency solver reproduces and the tests cross
-check.  The best autoencoder with k codes has one too: it keeps the k
-heaviest inputs, and its quality is twice the mass outside them.
+encoded data costs at most quality times the loss's sup-norm.  The best
+decoder sends each code to its most probable preimage, so the quality has a
+closed form with no decoder built: each input is missed on every code whose
+most probable preimage is another input.  The LP deficiency solver
+reproduces it and the tests cross check.  The best autoencoder with k codes
+has a closed form too: it keeps the k heaviest inputs, and its quality is
+twice the mass outside them.
 
 Public functions take validated objects and check their spaces; the
 ``_``-prefixed cores take plain arrays, so callers that have already
@@ -18,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
-from .decisions import conditional_entropy
 from .kernels import (
     Distribution,
     FiniteSpace,
@@ -58,23 +58,6 @@ class FeatureChain:
                 raise _mismatch("chain: adjacent layers", lo.target, hi.source)
 
 
-class HellmanRavivCheck(NamedTuple):
-    epsilon: float
-    conditional_entropy_bits: float
-    holds: bool
-
-
-def _decoder(encoder_matrix: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Most-probable-preimage decoder's matrix; codes with zero mass decode to the prior mode."""
-    scores = encoder_matrix * mass[None, :]
-    best = np.argmax(scores, axis=1)
-    best[scores.sum(axis=1) <= 0] = int(np.argmax(mass))
-    nz, nx = encoder_matrix.shape
-    m = np.zeros((nx, nz))
-    m[best, np.arange(nz)] = 1.0
-    return m
-
-
 def generic_quality(encoder: MarkovKernel, prior: Distribution) -> float:
     """Twice the best achievable reconstruction error; in [0, 2]."""
     if prior.space != encoder.source:
@@ -84,10 +67,12 @@ def generic_quality(encoder: MarkovKernel, prior: Distribution) -> float:
 
 def _generic_quality(encoder_matrix: np.ndarray, mass: np.ndarray) -> float:
     """Array core of ``generic_quality``: encoder matrix and input masses."""
-    roundtrip = _decoder(encoder_matrix, mass) @ encoder_matrix
-    # the mass the round trip sends off the diagonal
-    np.fill_diagonal(roundtrip, 0.0)
-    return 2.0 * float(mass @ roundtrip.sum(axis=0))
+    best = np.argmax(encoder_matrix * mass, axis=1)
+    # summing, per input, the codes that decode elsewhere gives a
+    # deterministic encoder an exact zero; a code of zero mass only puts
+    # weight on inputs of mass zero, so where it decodes adds nothing
+    missed = np.where(best[:, None] == np.arange(mass.size), 0.0, encoder_matrix).sum(axis=0)
+    return 2.0 * float(mass @ missed)
 
 
 def _encoder_sweep(g: np.ndarray, n: int) -> np.ndarray:
@@ -167,10 +152,3 @@ def stack(prior: Distribution, sizes: list[int] | tuple[int, ...]) -> FeatureCha
         layer_quality=tuple(qualities),
         total_quality=generic_quality(composed, prior),
     )
-
-
-def hellman_raviv_check(encoder: MarkovKernel, prior: Distribution) -> HellmanRavivCheck:
-    """Reconstruction quality against its conditional-entropy upper bound (bits)."""
-    eps = generic_quality(encoder, prior)
-    h = conditional_entropy(prior, encoder)
-    return HellmanRavivCheck(eps, h, eps <= h + 1e-9)

@@ -34,7 +34,7 @@ from finexp.kernels import (
 )
 from finexp.sampling import random_distribution, random_kernel, random_loss
 
-from strategies import blind_kernel, information_gap
+from strategies import blind_kernel, identity_kernel, information_gap
 
 
 def random_problem(rng, nt=(2, 4), nx=(2, 6), na=(2, 4)):
@@ -148,7 +148,7 @@ class TestSteps:
             problem = _problem(loss, pi, exp)
             enc, cents, q = state.encoder.matrix, state.centroid_posteriors.matrix, state.latent_prior.mass
             objs = [_objective(problem, enc, _regret_table(problem, cents), q, beta)]
-            cents = centroid_step(problem, enc)
+            cents = centroid_step(problem, enc, beta)
             table = _regret_table(problem, cents)
             objs.append(_objective(problem, enc, table, q, beta))
             q = latent_prior_step(problem, enc)
@@ -170,7 +170,7 @@ class TestSteps:
             enc = state.encoder.matrix
             for _ in range(5000):
                 before = enc
-                centroids = centroid_step(problem, enc)
+                centroids = centroid_step(problem, enc, 0.5)
                 latent_prior = latent_prior_step(problem, enc)
                 enc = encoder_step(_regret_table(problem, centroids), latent_prior, 0.5)
                 if np.abs(enc - before).max() < 1e-13:
@@ -230,19 +230,37 @@ class TestLoop:
 
     def test_one_table_per_iteration(self, table_widths):
         # inputs x_i and x_{i+4} point to hypothesis i, so seeding finds four
-        # seeds, and beta > 0 gives every code weight: no code ever dies
+        # seeds, and beta > 0 gives every seeded code weight: none ever dies.
+        # Codes past the fourth start dead and stay dead, so no table reseeds them
         theta = FiniteSpace.of_size(4, "t")
         m = np.random.default_rng(14).uniform(0.05, 0.1, (8, 4))
         m[np.arange(4), np.arange(4)] += 0.5
         m[np.arange(4, 8), np.arange(4)] += 0.3
         exp = MarkovKernel(theta, FiniteSpace.of_size(8, "x"), m / m.sum(axis=0))
         loss, pi = zero_one_loss(theta), uniform(theta)
-        for iters in (1, 2, 3, 200):
-            table_widths.clear()
-            state = ib_learn(loss, pi, exp, latent_size=4, beta=0.1, max_iters=iters)
-            iterations = len(state.objective_trace) - 1
-            assert table_widths == [1] * 4 + [4] * iterations
-        assert iterations < 200
+        for latent in (4, 6):
+            for iters in (1, 2, 3, 200):
+                table_widths.clear()
+                state = ib_learn(loss, pi, exp, latent_size=latent, beta=0.1, max_iters=iters)
+                iterations = len(state.objective_trace) - 1
+                assert table_widths == [1] * 4 + [latent] * iterations
+            assert iterations < 200
+            assert np.count_nonzero(state.latent_prior.mass) == 4
+
+    def test_reseeding_revives_dead_codes_at_beta_zero(self, monkeypatch):
+        # a start with every input on code 0 leaves codes 1 and 2 dead; at
+        # beta = 0 reseeding puts them on the worst-served inputs and the
+        # encoder step takes them up, while at beta > 0 they cannot revive
+        theta = FiniteSpace.of_size(3, "t")
+        loss, pi, exp = zero_one_loss(theta), uniform(theta), identity_kernel(theta)
+        monkeypatch.setattr(finexp.bottleneck, "_seed_assignment", lambda problem, k, rng: np.zeros(3, int))
+        hard = ib_learn(loss, pi, exp, latent_size=3, beta=0.0)
+        np.testing.assert_array_equal(hard.encoder.matrix, np.eye(3))
+        assert hard.objective_trace[0] == pytest.approx(2 / 3, abs=1e-12)
+        assert hard.objective_trace[-1] == 0.0
+        soft = ib_learn(loss, pi, exp, latent_size=3, beta=0.1)
+        np.testing.assert_array_equal(soft.encoder.matrix, [[1.0] * 3, [0.0] * 3, [0.0] * 3])
+        assert soft.objective_trace[-1] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_trace_ends_at_the_returned_state(self):
         # the golden outputs never set --iters, so only this pins a run the cap stops

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from finexp.decisions import conditional_entropy
 from finexp.deficiency import weighted_directed_deficiency
 from finexp.kernels import (
     Distribution,
@@ -15,10 +16,8 @@ from finexp.kernels import (
 )
 from finexp.reconstruction import (
     FeatureChain,
-    _decoder,
     autoencode,
     generic_quality,
-    hellman_raviv_check,
     stack,
 )
 from finexp.sampling import random_distribution, random_kernel
@@ -42,14 +41,10 @@ class TestOptimalDecoder:
     """The most-probable-preimage decoder behind ``generic_quality``."""
 
     def test_identity_encoder(self):
-        dec = _decoder(np.eye(3), np.full(3, 1 / 3))
-        np.testing.assert_array_equal(dec, np.eye(3))
-
-    def test_merge_decodes_heaviest(self):
-        enc, pi = merge_example()
-        dec = _decoder(enc.matrix, pi.mass)
-        assert pi.space.labels[int(np.argmax(dec[:, 0]))] == "a"
-        assert pi.space.labels[int(np.argmax(dec[:, 1]))] == "c"
+        # exactly zero, also where an input of mass zero leaves its code unused;
+        # the uniform prior is TestGenericQuality::test_injective_zero
+        x = FiniteSpace.of_size(3)
+        assert generic_quality(identity_kernel(x), Distribution(x, [0.6, 0.0, 0.4])) == 0.0
 
     def test_merge_beats_all_deterministic_decoders(self):
         enc, pi = merge_example()
@@ -61,15 +56,18 @@ class TestOptimalDecoder:
         assert generic_quality(enc, pi) == pytest.approx(2 * best, abs=1e-12)
         assert best == pytest.approx(0.3, abs=1e-12)
 
-    def test_uninformative_encoder_decodes_to_mode(self):
+    def test_one_code_keeps_the_mode(self):
         _, pi = merge_example()
-        dec = _decoder(np.ones((1, 3)), pi.mass)
-        assert pi.space.labels[int(np.argmax(dec[:, 0]))] == "a"
+        one = MarkovKernel(pi.space, FiniteSpace.of_size(1, "z"), np.ones((1, 3)))
+        assert generic_quality(one, pi) == pytest.approx(2 * (1 - 0.5), abs=1e-12)
 
-    def test_zero_mass_code_decodes_to_mode(self):
-        enc = np.array([[1.0, 1.0], [0.0, 0.0]])  # code z1 never used
-        dec = _decoder(enc, np.array([0.3, 0.7]))
-        assert int(np.argmax(dec[:, 1])) == 1  # the mode x1
+    def test_unused_code_changes_nothing(self):
+        # code z1 is never used, so the quality is that of the encoder without it
+        x = FiniteSpace.of_size(2)
+        pi = Distribution(x, [0.3, 0.7])
+        padded = MarkovKernel(x, FiniteSpace.of_size(2, "z"), [[1.0, 1.0], [0.0, 0.0]])
+        one = MarkovKernel(x, FiniteSpace.of_size(1, "z"), [[1.0, 1.0]])
+        assert generic_quality(padded, pi) == generic_quality(one, pi) == pytest.approx(0.6, abs=1e-12)
 
 
 class TestReconstructionError:
@@ -285,17 +283,13 @@ class TestStack:
 class TestHellmanRaviv:
     def test_injective(self):
         x = FiniteSpace.of_size(3)
-        eps, h, ok = hellman_raviv_check(identity_kernel(x), uniform(x))
-        assert eps == pytest.approx(0.0, abs=1e-12)
-        assert h == pytest.approx(0.0, abs=1e-12)
-        assert ok
+        assert generic_quality(identity_kernel(x), uniform(x)) == pytest.approx(0.0, abs=1e-12)
+        assert conditional_entropy(uniform(x), identity_kernel(x)) == pytest.approx(0.0, abs=1e-12)
 
     def test_uninformative_binary(self):
         x = FiniteSpace.of_size(2)
-        eps, h, ok = hellman_raviv_check(blind_kernel(x), uniform(x))
-        assert eps == pytest.approx(1.0, abs=1e-12)
-        assert h == pytest.approx(1.0, abs=1e-12)
-        assert ok
+        assert generic_quality(blind_kernel(x), uniform(x)) == pytest.approx(1.0, abs=1e-12)
+        assert conditional_entropy(uniform(x), blind_kernel(x)) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(7)
@@ -304,4 +298,4 @@ class TestHellmanRaviv:
             nz = int(rng.integers(1, 8))
             pi = random_distribution(rng, FiniteSpace.of_size(n, "x"))
             enc = random_kernel(rng, pi.space, FiniteSpace.of_size(nz, "z"))
-            assert hellman_raviv_check(enc, pi).holds
+            assert generic_quality(enc, pi) <= conditional_entropy(pi, enc) + 1e-9

@@ -242,6 +242,20 @@ def test_public_functions_equal_their_cores():
         assert eps == _generic_quality(encoder.matrix, data_prior.mass)
         assert eps == pytest.approx(_best_decoder_quality(encoder.matrix, data_prior.mass), abs=1e-12)
 
+        # input x0 gets mass zero and a code of its own: a code of mass zero that
+        # still has weight on an input, next to the all-zero row of every other encoder
+        atom = data_prior.mass.copy()
+        atom[0] = 0.0
+        atom /= atom.sum()
+        first = np.arange(atom.size) == 0
+        lone = np.vstack([encoder.matrix * ~first, first])
+        eps = generic_quality(
+            MarkovKernel(data_prior.space, FiniteSpace.of_size(lone.shape[0], "z"), lone),
+            Distribution(data_prior.space, atom),
+        )
+        assert eps == _generic_quality(lone, atom)
+        assert eps == pytest.approx(_best_decoder_quality(lone, atom), abs=1e-12)
+
 
 def test_public_functions_check_spaces():
     prior, t_exp, encoder, loss = next(_instances(1))
@@ -250,7 +264,7 @@ def test_public_functions_check_spaces():
         value(loss, other, t_exp)
     with pytest.raises(SpaceMismatchError, match="value: prior"):
         feature_gap(loss, other, t_exp, encoder)
-    with pytest.raises(SpaceMismatchError, match="compose"):
+    with pytest.raises(SpaceMismatchError, match="feature_gap: encoder input"):
         feature_gap(loss, prior, t_exp, identity_kernel(encoder.target))
     with pytest.raises(SpaceMismatchError, match="generic_quality"):
         generic_quality(encoder, prior)
