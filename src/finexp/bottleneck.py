@@ -57,13 +57,14 @@ class _Problem:
 
 
 def _problem(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> _Problem:
-    posts = bayes_inverse(experiment, prior).matrix
     if loss.theta != experiment.source:
         raise _mismatch("bottleneck: loss hypotheses", experiment.source, loss.theta)
+    if prior.space != experiment.source:
+        raise _mismatch("bottleneck: prior", experiment.source, prior.space)
+    posts = bayes_inverse(experiment, prior).matrix
     exp_post = posts.T @ loss.values
-    return _Problem(
-        loss.values, posts, pushforward(experiment, prior).mass, exp_post, exp_post.min(axis=1)
-    )
+    px = pushforward(experiment, prior).mass
+    return _Problem(loss.values, posts, px, exp_post, exp_post.min(axis=1))
 
 
 def _regret_table(problem: _Problem, centroids: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ All results are JSON on stdout with sorted keys; diagnostics go to stderr.
 Exit codes: 0 success, 1 property failure, 2 input error (including a
 size too large to allocate), 3 conformance (space mismatch) error, 4
 solver fault (the LP solver failed on a program that is feasible by
-construction).  Every command is deterministic given its flags:
-identical invocations produce identical bytes.
+construction).  Identical invocations print identical bytes on one machine
+(same numpy and scipy versions, numpy SIMD targets and OpenBLAS core);
+across machines the printed values agree to 1e-12.
 """
 
 from __future__ import annotations

@@ -78,11 +78,11 @@ def value(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> fl
     return float(_value(experiment.matrix, prior.mass, loss.values))
 
 
-def _check_value_spaces(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> None:
+def _check_value_spaces(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel, caller: str = "value") -> None:
     if experiment.source != loss.theta:
-        raise _mismatch("value: experiment input", loss.theta, experiment.source)
+        raise _mismatch(f"{caller}: experiment input", loss.theta, experiment.source)
     if prior.space != loss.theta:
-        raise _mismatch("value: prior", loss.theta, prior.space)
+        raise _mismatch(f"{caller}: prior", loss.theta, prior.space)
 
 
 def _value(matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray) -> np.ndarray:
@@ -97,11 +97,8 @@ def _value(matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray) -> np.
 
 def bayes_decision_rule(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> MarkovKernel:
     """Deterministic rule picking the best action at each posterior."""
-    if experiment.source != loss.theta:
-        raise _mismatch("bayes_decision_rule: experiment input", loss.theta, experiment.source)
-    posts = bayes_inverse(experiment, prior)
-    scores = posts.matrix.T @ loss.values
-    acts = np.argmin(scores, axis=1)
+    _check_value_spaces(loss, prior, experiment, "bayes_decision_rule")
+    acts = np.argmin(bayes_inverse(experiment, prior).matrix.T @ loss.values, axis=1)
     m = np.zeros((loss.actions.size, experiment.target.size))
     m[acts, np.arange(experiment.target.size)] = 1.0
     return MarkovKernel(experiment.target, loss.actions, m)
@@ -128,7 +125,7 @@ def feature_gap(
     """Value lost by deciding from encoded data instead of raw data (>= 0)."""
     if encoder.source != experiment.target:
         raise _mismatch("feature_gap: encoder input", experiment.target, encoder.source)
-    _check_value_spaces(loss, prior, experiment)
+    _check_value_spaces(loss, prior, experiment, "feature_gap")
     return _feature_gap(encoder.matrix, experiment.matrix, prior.mass, loss.values)
 
 
@@ -140,19 +137,19 @@ def _feature_gap(
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise x * ln(y), with 0 * ln(y) = 0 even where y is 0.
+    """Elementwise x * ln(y) for y >= 0, with 0 * ln(y) = 0 even where y is 0.
 
-    Takes the C library's logarithm, as scipy.special.xlogy does: numpy's
-    vectorized log may differ from it in the last bit depending on the CPU's
-    instruction set, which would make printed results machine-dependent.  The
-    result has a ufunc's memory layout (that of ``x * y``), which fixes the
-    order in which a later ``.sum()`` adds the terms.
+    The log is numpy's, taken on the support only.  Like every numpy ufunc
+    its last bit may follow the CPU's SIMD targets, so printed results hold
+    byte for byte per machine and to 1e-12 across machines.  The result has
+    a ufunc's memory layout (that of ``x * y``), which fixes the order in
+    which a later ``.sum()`` adds the terms.
     """
     out = np.zeros_like(x * y)
     x, y = np.broadcast_arrays(x, y)
     support = x != 0
-    logs = [math.log(v) if v > 0 else -math.inf for v in y[support].tolist()]
-    out[support] = x[support] * np.array(logs)
+    with np.errstate(divide="ignore"):
+        out[support] = x[support] * np.log(y[support])
     return out
 
 

@@ -318,6 +318,7 @@ class TestLearn:
 
             posts = bayes_inverse(exp, pi)
             px = pushforward(exp, pi)
+            problem = _problem(loss, pi, exp)
             best = np.inf
             for assign in itertools.product(range(k), repeat=nx):
                 a = np.array(assign)
@@ -327,7 +328,7 @@ class TestLearn:
                     w = px.mass[members]
                     if w.sum() > 0:
                         cents[:, zz] = posts.matrix[:, members] @ w / w.sum()
-                table = _regret_table(_problem(loss, pi, exp), cents)
+                table = _regret_table(problem, cents)
                 best = min(best, float(np.sum(px.mass * table[np.arange(nx), a])))
             assert got == pytest.approx(best, abs=1e-9)
 

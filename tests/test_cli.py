@@ -316,6 +316,13 @@ class TestIB:
         assert out["distortion"] <= 1e-9
         assert out["trace_nonincreasing"] is True
 
+    def test_prior_over_other_hypotheses_exits_3(self, capsys):
+        argv = ["ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "pixels", "--loss", "zero_one", "--latent", "2"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("conformance error: bottleneck: prior: expected space ('h0', 'h1')")
+
     def test_huge_beta(self, capsys, sample_file):
         code, out = run(
             capsys,

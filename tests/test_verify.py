@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from finexp.decisions import LossMatrix, _feature_gap, _value, feature_gap, value
+from finexp.bottleneck import ib_distortion, ib_learn, ib_objective
+from finexp.decisions import LossMatrix, _feature_gap, _value, bayes_decision_rule, feature_gap, value
 from finexp.deficiency import weighted_directed_deficiency
 from finexp.kernels import (
     Distribution,
@@ -16,7 +17,7 @@ from finexp.kernels import (
 )
 from finexp.reconstruction import _generic_quality, generic_quality
 from finexp.sampling import random_distribution, random_kernel, random_loss
-from finexp.verify import SUITES, _SUITE_SALT, _objects, _problem, run_suite, suite_quality_certificate
+from finexp.verify import SUITES, _SUITE_SALT, _objects, _problem, run_suite
 
 from strategies import identity_kernel, symmetric_deficiency
 
@@ -43,14 +44,6 @@ def reference_quality_certificate(rng, trials, max_dim, problems_per_encoder: in
         yield (f"trial{i}_bound", worst, 1e-6)
         lp = weighted_directed_deficiency(encoder, identity_kernel(x_space), data_prior).delta
         yield (f"trial{i}_lp_match", abs(eps - lp), 1e-6)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_quality_certificate_matches_object_reference(seed):
-    salt = _SUITE_SALT["quality_certificate"]
-    got = list(suite_quality_certificate(np.random.default_rng([seed, salt]), 20, 6))
-    want = list(reference_quality_certificate(np.random.default_rng([seed, salt]), 20, 6))
-    assert [tuple(c) for c in got] == want
 
 
 # Trial-by-trial references for the suites that batch their LPs: each trial
@@ -132,13 +125,13 @@ def reference_oracle_generic(rng, trials, max_dim):
         yield (f"trial{i}", abs(generic_quality(encoder, prior) - lp), 1e-6)
 
 
-#: suite -> (trial-by-trial reference, max_dim, names of the checks that use no LP delta)
+#: suite -> (trial-by-trial reference, max_dim, suffixes of the checks that must match exactly)
 LP_SUITE_REFERENCES = {
     "randomization": (reference_randomization, 6, ()),
     "value_gap_bound": (reference_value_gap_bound, 6, ()),
     "binary_cost_sweep": (reference_binary_cost_sweep, 4, ()),
     "encoder_shift_bound": (reference_encoder_shift_bound, 6, ()),
-    "quality_certificate": (reference_quality_certificate, 6, ("_bound",)),
+    "quality_certificate": (reference_quality_certificate, 6, ("_bound", "_lp_match")),
     "triangle": (reference_triangle, 6, ()),
     "oracle_generic": (reference_oracle_generic, 6, ()),
 }
@@ -262,9 +255,19 @@ def test_public_functions_check_spaces():
     other = uniform(FiniteSpace.of_size(prior.space.size, "u"))
     with pytest.raises(SpaceMismatchError, match="value: prior"):
         value(loss, other, t_exp)
-    with pytest.raises(SpaceMismatchError, match="value: prior"):
+    with pytest.raises(SpaceMismatchError, match="feature_gap: prior"):
         feature_gap(loss, other, t_exp, encoder)
     with pytest.raises(SpaceMismatchError, match="feature_gap: encoder input"):
         feature_gap(loss, prior, t_exp, identity_kernel(encoder.target))
     with pytest.raises(SpaceMismatchError, match="generic_quality"):
         generic_quality(encoder, prior)
+    with pytest.raises(SpaceMismatchError, match="bayes_decision_rule: prior"):
+        bayes_decision_rule(loss, other, t_exp)
+    state = ib_learn(loss, prior, t_exp, latent_size=2)
+    for call in (
+        lambda: ib_learn(loss, other, t_exp, latent_size=2),
+        lambda: ib_distortion(state, loss, other, t_exp),
+        lambda: ib_objective(state, loss, other, t_exp),
+    ):
+        with pytest.raises(SpaceMismatchError, match="bottleneck: prior"):
+            call()
