@@ -9,7 +9,6 @@ a seeded property-verification harness.
 from .bottleneck import IBState, ib_distortion, ib_learn, ib_objective
 from .decisions import (
     LossMatrix,
-    bayes_act,
     bayes_decision_rule,
     conditional_entropy,
     feature_gap,
@@ -60,7 +59,6 @@ __all__ = [
     "SuiteReport",
     "SUITES",
     "autoencode",
-    "bayes_act",
     "bayes_decision_rule",
     "bayes_inverse",
     "compose",

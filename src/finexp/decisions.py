@@ -56,18 +56,6 @@ def zero_one_loss(space: FiniteSpace) -> LossMatrix:
     return LossMatrix(space, space, 1.0 - np.eye(space.size))
 
 
-def _min_expected_loss(loss: LossMatrix, mass: np.ndarray) -> float:
-    """Smallest expected loss over actions at a fixed distribution on hypotheses."""
-    return float((mass @ loss.values).min())
-
-
-def bayes_act(loss: LossMatrix, posterior: Distribution) -> int:
-    """Index of the action minimizing expected loss; ties go to the lowest index."""
-    if posterior.space != loss.theta:
-        raise _mismatch("bayes_act", loss.theta, posterior.space)
-    return int(np.argmin(posterior.mass @ loss.values))
-
-
 def value(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:
     """Risk of the best decision rule that factors through the experiment.
 
@@ -112,8 +100,9 @@ def regret(loss: LossMatrix, p: Distribution, q: Distribution) -> float:
     """
     if p.space != loss.theta or q.space != loss.theta:
         raise _mismatch("regret", loss.theta, p.space if p.space != loss.theta else q.space)
-    a = bayes_act(loss, q)
-    return float(p.mass @ loss.values[:, a] - _min_expected_loss(loss, p.mass))
+    # the Bayes act for q; ties go to the lowest index
+    a = int(np.argmin(q.mass @ loss.values))
+    return float(p.mass @ loss.values[:, a] - (p.mass @ loss.values).min())
 
 
 def feature_gap(

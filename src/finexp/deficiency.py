@@ -40,6 +40,14 @@ about half the time.  The worst-case dual would add a worst-case prior as
 variables; its simplex solves took about twice as long as the primal
 above, so that variant stays primal.
 
+The two variants use different HiGHS methods.  The worst-case primal is
+solved by interior point, with the crossover scipy runs by default, so its
+solution is still a vertex; at 32 labels it solves about twice as fast as
+by simplex.  At n <= 16 it is slower (8.4 against 4.8 ms at n = 8 on a
+2-core machine), but the worst-case variant has no verify caller.  The
+weighted batches stay on simplex: they are thousands of small solves in
+the verify suites, and interior point raised small solves to 4.6 ms.
+
 A constraint matrix of at most ``_DENSE_CELLS`` cells goes to the solver
 dense and a larger one sparse (at 32 labels both variants are sparse);
 only nonzero entries are stored, so both give HiGHS the same model.  At
@@ -79,12 +87,17 @@ def _check_pair(first: MarkovKernel, second: MarkovKernel, prior: Distribution |
         raise _mismatch("deficiency: prior", first.source, prior.space)
 
 
+#: The HiGHS method of each variant; the module docstring says why.
+_METHODS = {"sup": "highs-ipm", "weighted": "highs"}
+
+
 def _solve(variant, c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=(0, None), options=None):
     # imported here so that only LP solves pay for loading scipy
     from scipy.optimize import linprog
 
+    method = _METHODS[variant]
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs", options=options
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method=method, options=options
     )
     if res.status != 0:
         # the feasible set is a nonempty polytope by construction, so any
@@ -92,7 +105,7 @@ def _solve(variant, c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=(0, None), optio
         rows = a_ub.shape[0] + (0 if a_eq is None else a_eq.shape[0])
         raise SolverError(
             f"internal LP failure (status {res.status}) in the {variant} LP "
-            f"({rows} x {len(c)}): {res.message}"
+            f"({rows} x {len(c)}) by method {method}: {res.message}"
         )
     return res
 

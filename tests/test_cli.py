@@ -154,8 +154,11 @@ class TestDeficiency:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("solver fault: internal LP failure (status 4)")
-        # the variant and the LP shape (rows x columns) for bsc -> ident on 2 hypotheses
-        expected = "the weighted LP (4 x 6)" if variant[0] == "--prior" else "the sup LP (8 x 9)"
+        # the variant, the LP shape (rows x columns) for bsc -> ident on 2 hypotheses and the HiGHS method
+        expected = (
+            "the weighted LP (4 x 6) by method highs:" if variant[0] == "--prior"
+            else "the sup LP (8 x 9) by method highs-ipm:"
+        )
         assert expected in captured.err
         assert issubclass(SolverError, RuntimeError)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from finexp.decisions import (
     LossMatrix,
     _xlogy,
-    bayes_act,
     bayes_decision_rule,
     conditional_entropy,
     feature_gap,
@@ -75,23 +74,6 @@ class TestBayesRisk:
             for rule in itertools.product(range(na), repeat=nx)
         )
         assert value(loss, prior, exp) == pytest.approx(oracle, abs=1e-12)
-
-
-class TestBayesAct:
-    def test_binary_zero_one(self):
-        t = FiniteSpace.of_size(2, "t")
-        assert bayes_act(zero_one_loss(t), Distribution(t, [0.8, 0.2])) == 0
-
-    def test_exact_tie_goes_low(self):
-        t = FiniteSpace.of_size(2, "t")
-        assert bayes_act(zero_one_loss(t), Distribution(t, [0.5, 0.5])) == 0
-
-    def test_cost_sensitive(self):
-        # expected losses: action 0 costs 0.2*10 = 2, action 1 costs 0.8*1
-        t = FiniteSpace.of_size(2, "t")
-        a = FiniteSpace.of_size(2, "a")
-        loss = LossMatrix(t, a, [[0.0, 1.0], [10.0, 0.0]])
-        assert bayes_act(loss, Distribution(t, [0.8, 0.2])) == 1
 
 
 class TestValue:
@@ -171,6 +153,27 @@ class TestRegret:
         p = Distribution(t, [0.8, 0.2])
         q = Distribution(t, [0.3, 0.7])
         assert regret(zero_one_loss(t), p, q) == pytest.approx(0.6, abs=1e-15)
+
+    def test_acts_for_q_binary_zero_one(self):
+        # q's Bayes act is 0, which costs p 0.7 against p's best 0.3
+        t = FiniteSpace.of_size(2, "t")
+        p, q = Distribution(t, [0.3, 0.7]), Distribution(t, [0.8, 0.2])
+        assert regret(zero_one_loss(t), p, q) == pytest.approx(0.4, abs=1e-15)
+
+    def test_exact_tie_acts_low(self):
+        # q ties both acts and act 0 is taken; act 1 would give p zero regret
+        t = FiniteSpace.of_size(2, "t")
+        p, q = Distribution(t, [0.2, 0.8]), Distribution(t, [0.5, 0.5])
+        assert regret(zero_one_loss(t), p, q) == pytest.approx(0.6, abs=1e-15)
+
+    def test_acts_for_q_cost_sensitive(self):
+        # q's expected losses: act 0 costs 0.2*10 = 2, act 1 costs 0.8*1, so act 1;
+        # for p act 0 costs 0.05*10 = 0.5 and act 1 costs 0.95
+        t = FiniteSpace.of_size(2, "t")
+        a = FiniteSpace.of_size(2, "a")
+        loss = LossMatrix(t, a, [[0.0, 1.0], [10.0, 0.0]])
+        p, q = Distribution(t, [0.95, 0.05]), Distribution(t, [0.8, 0.2])
+        assert regret(loss, p, q) == pytest.approx(0.45, abs=1e-15)
 
     @settings(max_examples=200)
     @given(st.data())

@@ -340,6 +340,54 @@ class TestReferenceEdgeCases:
                 worst = max(worst, weighted_directed_deficiency(t, u, pi).delta, directed_deficiency(t, u).delta)
         assert worst <= 1e-8
 
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_sup_at_interior_point_sizes(self, n):
+        # the sup primal is solved by interior point with crossover: at these
+        # sizes it must still give the simplex optimum, a stochastic witness
+        # and, called twice, the same bytes
+        rng = np.random.default_rng(100 + n)
+        theta = FiniteSpace.of_size(n, "t")
+        for _ in range(2):
+            t = random_kernel(rng, theta, FiniteSpace.of_size(n, "x"))
+            u = random_kernel(rng, theta, FiniteSpace.of_size(n, "y"))
+            res, again = directed_deficiency(t, u), directed_deficiency(t, u)
+            assert abs(res.delta - max(0.0, reference_delta(t, u))) <= 1e-9
+            np.testing.assert_allclose(res.witness.matrix.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+            assert res.objective_gap <= 1e-9
+            assert again.delta == res.delta
+            assert again.witness.matrix.tobytes() == res.witness.matrix.tobytes()
+
+    def test_degenerate_sup_pairs_at_interior_point_sizes(self):
+        # self and garbled Dirichlet(0.3) pairs factor exactly, so the
+        # interior-point solve must land on delta = 0 up to the same bound
+        rng = np.random.default_rng(24)
+        worst = 0.0
+        for n in (16, 24, 32):
+            theta, x = FiniteSpace.of_size(n, "t"), FiniteSpace.of_size(n, "x")
+            for _ in range(2):
+                z = FiniteSpace.of_size(int(rng.integers(2, n + 1)), "z")
+                t = MarkovKernel(theta, x, rng.dirichlet(np.full(n, 0.3), size=n).T)
+                noise = MarkovKernel(x, z, rng.dirichlet(np.full(z.size, 0.3), size=n).T)
+                for u in (t, compose(noise, t)):
+                    worst = max(worst, directed_deficiency(t, u).delta)
+        assert worst <= 1e-8
+
+
+def test_sup_solves_by_interior_point_and_weighted_by_simplex(monkeypatch):
+    import scipy.optimize
+
+    methods, orig = [], scipy.optimize.linprog
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr("scipy.optimize.linprog", recording)
+    _, theta, t, u = next(rng_instances(25, 1))
+    directed_deficiency(t, u)
+    weighted_directed_deficiency(t, u, uniform(theta))
+    assert methods == ["highs-ipm", "highs"]
+
 
 def test_block_holds_the_nonzero_entries_of_the_dense_layout():
     rng = np.random.default_rng(17)
