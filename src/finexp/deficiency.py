@@ -44,18 +44,22 @@ The two variants use different HiGHS methods.  The worst-case primal is
 solved by interior point, with the crossover scipy runs by default, so its
 solution is still a vertex; at 32 labels it solves about twice as fast as
 by simplex.  At n <= 16 it is slower (8.4 against 4.8 ms at n = 8 on a
-2-core machine), but the worst-case variant has no verify caller.  The
-weighted batches stay on simplex: they are thousands of small solves in
-the verify suites, and interior point raised small solves to 4.6 ms.
+2-core machine), but it must stay there for robustness: by simplex this
+primal stalls on pairs that factor exactly.  A garbled Dirichlet(0.3)
+pair at n = 16 ran over 60 s by simplex and under 1 s by interior point;
+over 24 self and garbled pairs per size, simplex hit a 3 s limit 0 times
+at n <= 8, once at n = 12, 5 times at n = 16 and 6 times at n = 24.  So
+the method is not switched by size.  The weighted batches stay on
+simplex, which never stalled on those pairs (slowest 1.05 s, at n = 32):
+they are thousands of small solves in the verify suites, and interior
+point raised small solves to 4.6 ms.
 
-A constraint matrix of at most ``_DENSE_CELLS`` cells goes to the solver
-dense and a larger one sparse (at 32 labels both variants are sparse);
-only nonzero entries are stored, so both give HiGHS the same model.  At
-desk scale scipy's per-call overhead is most of a solve, so weighted
-problems are solved in batches: their duals share no variable, and
-consecutive problems are stacked as the blocks of one block-diagonal LP
-while it stays within ``_DENSE_CELLS``.  A single weighted solve is a
-batch of one.
+Every constraint matrix goes to the solver as a sparse array of its
+nonzero entries.  At desk scale scipy's per-call overhead is most of a
+solve, so weighted problems are solved in batches: their duals share no
+variable, and consecutive problems are stacked as the blocks of one
+block-diagonal LP while it stays within ``_BATCH_CELLS`` cells.  A single
+weighted solve is a batch of one.
 """
 
 from __future__ import annotations
@@ -130,26 +134,17 @@ def _residual_norms(first: np.ndarray, second: np.ndarray, v: np.ndarray) -> np.
     return np.abs(second - v @ first).sum(axis=0)
 
 
-#: An LP matrix of at most this many cells goes to the solver dense, a larger
-#: one sparse, and weighted problems are stacked into one LP while the stacked
-#: matrix stays within it.  Small, scipy's sparse front end adds up to 0.4 ms
-#: to a 2-3 ms solve (n <= 6); large, each dense copy grows as n^4 (the
-#: worst-case LP at the 32-label cap is 17 MB, scipy copies it twice, and the
-#: peak memory of a process then varies with how the allocator reuses those
-#: blocks).  2^15 stacks about ten problems at n <= 6 per solve.  Against
-#: 2^16 it took the same time, within noise, in the verify suites, and it
-#: raised their peak memory over one solve per call by half as much (+1.1 to
-#: 1.5 MB against +2.4 to 3.2 MB).  Only nonzero entries are stored, so both
-#: formats give HiGHS the same model.
-_DENSE_CELLS = 1 << 15
+#: Weighted problems are stacked into one LP while the stacked matrix has at
+#: most this many cells (rows times columns), about ten problems at n <= 6.
+#: The cap bounds memory: with no cap, so one LP per verify suite, the peak
+#: RSS of the seven LP-backed suites (seeds 0-2, 100 trials, max-dim 6) rose
+#: from 83 MB to 118 MB in one process.
+_BATCH_CELLS = 1 << 15
 
 
 def _matrix(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
-    """The matrix with nonzero entries ``data`` at (rows, cols), dense or sparse by size."""
-    if shape[0] * shape[1] <= _DENSE_CELLS:
-        a = np.zeros(shape)
-        a[rows, cols] = data
-        return a
+    """The sparse matrix with nonzero entries ``data`` at (rows, cols)."""
+    # imported here so that only LP solves pay for loading scipy
     from scipy.sparse import coo_array
 
     return coo_array((data, (rows, cols)), shape=shape)
@@ -178,9 +173,9 @@ def _weighted_batch(problems) -> list[tuple[float, np.ndarray]]:
     Returns (delta, V) per problem, V being the raw multiplier block of
     shape (ny, nx).  The duals of different problems share no variable, so
     consecutive problems are stacked as the blocks of one block-diagonal LP
-    while the stacked matrix has at most ``_DENSE_CELLS`` cells; that LP's
+    while the stacked matrix has at most ``_BATCH_CELLS`` cells; that LP's
     optimum restricted to a block is the block's own optimum.  A problem too
-    large for the cap is solved on its own, and its matrix goes sparse.
+    large for the cap is solved on its own.
     """
     results: list[tuple[float, np.ndarray]] = []
     group: list[tuple] = []
@@ -188,7 +183,7 @@ def _weighted_batch(problems) -> list[tuple[float, np.ndarray]]:
     for problem in problems:
         (nx, nt), ny = problem[0].shape, problem[1].shape[0]
         r, c = ny * nx, ny * nt + nx
-        if group and (rows + r) * (cols + c) > _DENSE_CELLS:
+        if group and (rows + r) * (cols + c) > _BATCH_CELLS:
             results += _weighted_group(group, (rows, cols))
             group, rows, cols = [], 0, 0
         group.append((problem, rows, cols))

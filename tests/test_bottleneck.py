@@ -343,10 +343,12 @@ class TestLearn:
     def test_invalid_arguments(self):
         rng = np.random.default_rng(11)
         loss, pi, exp = random_problem(rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="latent_size must be at least 1"):
             ib_learn(loss, pi, exp, latent_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
             ib_learn(loss, pi, exp, latent_size=2, beta=-1.0)
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            ib_learn(loss, pi, exp, latent_size=2, max_iters=0)
 
     def test_validates_once(self, monkeypatch):
         # kernels are built at the boundary and on return, never per iteration

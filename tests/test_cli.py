@@ -234,7 +234,7 @@ class TestAutoencode:
 class TestAllowLarge:
     """--allow-large lifts the 32-label cap on file spaces and code sizes, and warns on stderr."""
 
-    WARNING = "warning: per-space size cap disabled; dense LP solves may be slow\n"
+    WARNING = "warning: per-space size cap disabled; LP solves may be slow\n"
 
     @pytest.fixture
     def large_file(self, tmp_path):
@@ -421,9 +421,13 @@ class TestVerify:
         assert suite["checks"] == 10  # triangle + self-distance per trial
 
     def test_unknown_suite_exits_2(self, capsys):
-        code = main(["verify", "--suite", "nope", "--trials", "2"])
-        assert code == 2
-        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nope", "--trials", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--suite" in captured.err and "'nope'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_max_dim_cap(self, capsys):
         code = main(["verify", "--suite", "triangle", "--trials", "1", "--max-dim", "33"])
@@ -465,6 +469,21 @@ STDOUT_CALLS = {
     ],
     "verify": ["verify", "--trials", "2"],
 }
+
+
+@pytest.mark.parametrize("command", ["ib", "verify"])
+@pytest.mark.parametrize("seed", ["-1", "-5", "abc", "1.5"])
+def test_bad_seed_exits_2(capsys, sample_file, command, seed):
+    argv = ["--trials", "1"]
+    if command == "ib":
+        argv = [sample_file, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --seed: must be an integer >= 0, got {seed!r}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def _reject_constant(token):

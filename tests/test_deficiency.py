@@ -373,20 +373,21 @@ class TestReferenceEdgeCases:
         assert worst <= 1e-8
 
 
-def test_sup_solves_by_interior_point_and_weighted_by_simplex(monkeypatch):
-    import scipy.optimize
-
-    methods, orig = [], scipy.optimize.linprog
-
-    def recording(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr("scipy.optimize.linprog", recording)
+def test_sup_solves_by_interior_point_and_weighted_by_simplex(linprog_calls):
     _, theta, t, u = next(rng_instances(25, 1))
     directed_deficiency(t, u)
     weighted_directed_deficiency(t, u, uniform(theta))
-    assert methods == ["highs-ipm", "highs"]
+    assert [call["method"] for call in linprog_calls] == ["highs-ipm", "highs"]
+    assert_sparse_matrices(linprog_calls)
+
+
+def assert_sparse_matrices(calls):
+    """Every constraint matrix handed to linprog is a scipy sparse array."""
+    from scipy.sparse import sparray
+
+    for call in calls:
+        assert isinstance(call["A_ub"], sparray)
+        assert call["A_eq"] is None or isinstance(call["A_eq"], sparray)
 
 
 def test_block_holds_the_nonzero_entries_of_the_dense_layout():
@@ -400,30 +401,9 @@ def test_block_holds_the_nonzero_entries_of_the_dense_layout():
         [np.kron(np.eye(y.size), first.T), np.kron(np.ones((1, y.size)), np.eye(x.size))]
     )
     rows, cols, data = _block(first, y.size)
-    np.testing.assert_array_equal(_matrix(rows, cols, data, dense.shape), dense)
-    # no stored zeros, so a sparse matrix gives the solver the same model as dense
+    np.testing.assert_array_equal(_matrix(rows, cols, data, dense.shape).toarray(), dense)
+    # no stored zeros: the solver gets exactly the nonzero entries
     assert np.all(data != 0) and data.size == np.count_nonzero(dense)
-
-
-def test_dense_and_sparse_lp_matrices_give_identical_results(monkeypatch):
-    cases = [
-        (t, u, random_distribution(rng, theta))
-        for rng, theta, t, u in rng_instances(18, 12, (2, 6), (2, 6), (2, 6))
-    ]
-    rng = np.random.default_rng(19)
-    theta = FiniteSpace.of_size(12, "t")
-    t = MarkovKernel(theta, FiniteSpace.of_size(12, "x"), rng.dirichlet(np.full(12, 0.3), size=12).T)
-    cases.append((t, random_kernel(rng, theta, FiniteSpace.of_size(10, "y")), random_distribution(rng, theta)))
-
-    def solve_all():
-        return [(weighted_directed_deficiency(t, u, pi), directed_deficiency(t, u)) for t, u, pi in cases]
-
-    dense = solve_all()
-    monkeypatch.setattr(deficiency, "_DENSE_CELLS", 0)
-    for pair_dense, pair_sparse in zip(dense, solve_all()):
-        for a, b in zip(pair_dense, pair_sparse):
-            assert a.delta == b.delta and a.objective_gap == b.objective_gap
-            np.testing.assert_array_equal(a.witness.matrix, b.witness.matrix)
 
 
 def _mixed_problems():
@@ -475,9 +455,11 @@ def test_weighted_batch_matches_single_solves(linprog_calls):
     del linprog_calls[:]
     batch = _weighted_batch((t.matrix, u.matrix, pi.mass) for t, u, pi, _ in problems)
     assert len(batch) == len(problems)
-    # a few groups of dense small problems, and the n = 32 problem alone and sparse
+    # a few groups of small problems within the cap, and the n = 32 problem alone
     assert len(linprog_calls) < len(problems) // 4
-    assert [a.shape for a in linprog_calls if not isinstance(a, np.ndarray)] == [(1024, 1056)]
+    shapes = [call["A_ub"].shape for call in linprog_calls]
+    assert [(r, c) for r, c in shapes if r * c > deficiency._BATCH_CELLS] == [(1024, 1056)]
+    assert_sparse_matrices(linprog_calls)
     for (t, u, pi, degenerate), (delta, v), single in zip(problems, batch, singles):
         assert v.shape == (u.target.size, t.target.size)
         assert abs(delta - single.delta) <= 1e-12

@@ -83,6 +83,12 @@ class TestLoad:
         ("losses", {"theta": "Theta", "actions": "A"}, "loss 'bad': 'values'"),
         ("losses", {"theta": "Theta", "actions": "A", "values": [1.0, 2.0, 3.0]},
          "loss 'bad': loss needs shape (2, 2), got (3,)"),
+        ("distributions", {"space": "Theta", "mass": [float("nan"), 1.0]},
+         "distribution 'bad': distribution has non-finite entries"),
+        ("kernels", {"from": "Theta", "to": "X", "matrix": [[float("inf"), 0.1], [0.1, 0.9]]},
+         "kernel 'bad': kernel has non-finite entries"),
+        ("spaces", ["a", "a"], "space 'bad': labels are not distinct: ('a', 'a')"),
+        ("spaces", [], "space 'bad': a finite space needs at least one label"),
     ])
     def test_entry_error_messages(self, section, body, message):
         doc = json.loads(json.dumps(SAMPLE))
@@ -90,6 +96,20 @@ class TestLoad:
         with pytest.raises(SchemaError) as err:
             experiment_from_dict(doc)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("doc", [[], "spaces", None])
+    def test_top_level_must_be_object(self, doc):
+        with pytest.raises(SchemaError, match="^top level must be a JSON object$"):
+            experiment_from_dict(doc)
+
+    def test_nan_literal_in_file_is_named(self, tmp_path):
+        doc = json.loads(json.dumps(SAMPLE))
+        doc["distributions"]["uniform"]["mass"] = [float("nan"), 0.5]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(SchemaError, match="^distribution 'uniform': distribution has non-finite entries$"):
+            load_experiment(path)
 
     def test_unknown_name_lookup(self):
         ef = experiment_from_dict(SAMPLE)

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from finexp.bottleneck import ib_distortion, ib_learn, ib_objective
-from finexp.decisions import LossMatrix, _feature_gap, _value, bayes_decision_rule, feature_gap, value
+from finexp.decisions import (
+    LossMatrix,
+    _feature_gap,
+    _value,
+    bayes_decision_rule,
+    conditional_entropy,
+    feature_gap,
+    mutual_information,
+    regret,
+    value,
+)
 from finexp.deficiency import weighted_directed_deficiency
 from finexp.kernels import (
     Distribution,
     FiniteSpace,
     MarkovKernel,
     SpaceMismatchError,
+    bayes_inverse,
     compose,
     pushforward,
     uniform,
@@ -271,3 +282,22 @@ def test_public_functions_check_spaces():
     ):
         with pytest.raises(SpaceMismatchError, match="bottleneck: prior"):
             call()
+    for name, call in (
+        ("regret", lambda: regret(loss, other, prior)),
+        ("regret", lambda: regret(loss, prior, other)),
+        ("conditional_entropy", lambda: conditional_entropy(other, encoder)),
+        ("mutual_information", lambda: mutual_information(other, encoder)),
+        ("pushforward", lambda: pushforward(t_exp, other)),
+        ("bayes_inverse", lambda: bayes_inverse(t_exp, other)),
+    ):
+        with pytest.raises(SpaceMismatchError, match=f"^{name}: expected space"):
+            call()
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("nope", {}, "unknown suite 'nope'; available: "),
+    ("triangle", {"trials": 0}, "trials must be at least 1"),
+])
+def test_run_suite_rejects_bad_arguments(name, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_suite(name, **kwargs)
