@@ -50,14 +50,30 @@ def _finite_nonnegative(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``, whose error argparse prefixes with the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _code_sizes(text: str) -> list[int]:
+    """Comma-separated code sizes, each an integer >= 1; empty entries are skipped."""
     try:
-        value = int(text)
+        sizes = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers >= 1, got {text!r}")
+    return sizes
 
 
 def _check_code_sizes(args, flag: str, sizes: list[int]) -> None:
@@ -133,11 +149,10 @@ def _cmd_autoencode(args) -> int:
 
 
 def _cmd_stack(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    _check_code_sizes(args, "--sizes", sizes)
+    _check_code_sizes(args, "--sizes", args.sizes)
     ef = _load(args)
     prior = ef.distribution(args.prior)
-    chain = stack(prior, sizes)
+    chain = stack(prior, args.sizes)
     bound = float(sum(chain.layer_quality))
     _emit(
         {
@@ -227,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("autoencode", help="optimal discrete autoencoder of a prior")
     add_file(p)
     p.add_argument("--prior", required=True)
-    p.add_argument("--latent", type=int, required=True, help="code size")
+    p.add_argument("--latent", type=_int_at_least(1), required=True, help="code size")
     p.add_argument("--seed", type=int, default=0, help=_IGNORED_SEED)
     p.set_defaults(func=_cmd_autoencode)
 
     p = sub.add_parser("stack", help="greedy layerwise stack of optimal autoencoders")
     add_file(p)
     p.add_argument("--prior", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated code sizes, e.g. 4,2")
+    p.add_argument("--sizes", type=_code_sizes, required=True, help="comma-separated code sizes, e.g. 4,2")
     p.add_argument("--seed", type=int, default=0, help=_IGNORED_SEED)
     p.set_defaults(func=_cmd_stack)
 
@@ -243,17 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True)
     p.add_argument("--prior", required=True)
     p.add_argument("--loss", required=True)
-    p.add_argument("--latent", type=int, required=True)
+    p.add_argument("--latent", type=_int_at_least(1), required=True)
     p.add_argument("--beta", type=_finite_nonnegative, default=0.0)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--iters", type=_int_at_least(1), default=200)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_ib)
 
     p = sub.add_parser("verify", help="run seeded property suites")
     p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--max-dim", type=int, default=6, help="largest sampled space size (cap 32)")
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--max-dim", type=_int_at_least(2), default=6, help="largest sampled space size (cap 32)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -76,10 +76,11 @@ def _check_value_spaces(loss: LossMatrix, prior: Distribution, experiment: Marko
 def _value(matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray) -> np.ndarray:
     """Array core of ``value``: experiment matrix, prior masses, loss values.
 
-    Losses may be a stack shaped [..., theta, action]; the result holds one
-    value per loss.
+    Each argument may be a stack: matrices shaped [..., x, theta], masses
+    [..., theta] and losses [..., theta, action].  The stacks broadcast and
+    the result holds one value per problem.
     """
-    jm = matrix * mass[None, :]
+    jm = matrix * mass[..., None, :]
     return (jm @ loss_values).min(axis=-1).sum(axis=-1)
 
 
@@ -115,14 +116,14 @@ def feature_gap(
     if encoder.source != experiment.target:
         raise _mismatch("feature_gap: encoder input", experiment.target, encoder.source)
     _check_value_spaces(loss, prior, experiment, "feature_gap")
-    return _feature_gap(encoder.matrix, experiment.matrix, prior.mass, loss.values)
+    return float(_feature_gap(encoder.matrix, experiment.matrix, prior.mass, loss.values))
 
 
 def _feature_gap(
     encoder_matrix: np.ndarray, matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray
-) -> float:
-    """Array core of ``feature_gap``: encoder matrix, then as ``_value``."""
-    return float(_value(encoder_matrix @ matrix, mass, loss_values) - _value(matrix, mass, loss_values))
+) -> np.ndarray:
+    """Array core of ``feature_gap``: encoder matrix, then as ``_value``, stacks included."""
+    return _value(encoder_matrix @ matrix, mass, loss_values) - _value(matrix, mass, loss_values)
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

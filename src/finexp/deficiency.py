@@ -58,8 +58,10 @@ Every constraint matrix goes to the solver as a sparse array of its
 nonzero entries.  At desk scale scipy's per-call overhead is most of a
 solve, so weighted problems are solved in batches: their duals share no
 variable, and consecutive problems are stacked as the blocks of one
-block-diagonal LP while it stays within ``_BATCH_CELLS`` cells.  A single
-weighted solve is a batch of one.
+block-diagonal LP while it has at most ``_BATCH_ROWS`` rows.  A problem's
+dual has one row per entry of V, ny * nx, and with sparse matrices rows are
+what HiGHS's work and memory follow.  A single weighted solve is a batch of
+one, and so is a problem with 32 labels on every space (1024 rows).
 """
 
 from __future__ import annotations
@@ -134,12 +136,15 @@ def _residual_norms(first: np.ndarray, second: np.ndarray, v: np.ndarray) -> np.
     return np.abs(second - v @ first).sum(axis=0)
 
 
-#: Weighted problems are stacked into one LP while the stacked matrix has at
-#: most this many cells (rows times columns), about ten problems at n <= 6.
-#: The cap bounds memory: with no cap, so one LP per verify suite, the peak
-#: RSS of the seven LP-backed suites (seeds 0-2, 100 trials, max-dim 6) rose
-#: from 83 MB to 118 MB in one process.
-_BATCH_CELLS = 1 << 15
+#: Weighted problems are stacked into one LP while it has at most this many
+#: rows.  The cap bounds memory: with no cap, so one LP per verify suite, the
+#: peak RSS of the seven LP-backed suites (seeds 0-2, 100 trials, max-dim 6)
+#: rose from 83 MB to 118 MB in one process.  At 512 rows those suites make
+#: 51-54 LP calls per seed (seeds 0-3) where a cap of 2^15 cells made 160-165,
+#: and the twelve suites of the benchmark's verify_all workload peaked at
+#: 84.4-84.6 MB in one process against 83.3-83.6 MB (seeds 1-2); 768 rows
+#: read 85.2-85.4 MB.
+_BATCH_ROWS = 512
 
 
 def _matrix(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
@@ -173,9 +178,9 @@ def _weighted_batch(problems) -> list[tuple[float, np.ndarray]]:
     Returns (delta, V) per problem, V being the raw multiplier block of
     shape (ny, nx).  The duals of different problems share no variable, so
     consecutive problems are stacked as the blocks of one block-diagonal LP
-    while the stacked matrix has at most ``_BATCH_CELLS`` cells; that LP's
-    optimum restricted to a block is the block's own optimum.  A problem too
-    large for the cap is solved on its own.
+    while it has at most ``_BATCH_ROWS`` rows; that LP's optimum restricted
+    to a block is the block's own optimum.  A problem too large for the cap
+    is solved on its own.
     """
     results: list[tuple[float, np.ndarray]] = []
     group: list[tuple] = []
@@ -183,7 +188,7 @@ def _weighted_batch(problems) -> list[tuple[float, np.ndarray]]:
     for problem in problems:
         (nx, nt), ny = problem[0].shape, problem[1].shape[0]
         r, c = ny * nx, ny * nt + nx
-        if group and (rows + r) * (cols + c) > _BATCH_CELLS:
+        if group and rows + r > _BATCH_ROWS:
             results += _weighted_group(group, (rows, cols))
             group, rows, cols = [], 0, 0
         group.append((problem, rows, cols))

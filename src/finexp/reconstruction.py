@@ -67,12 +67,19 @@ def generic_quality(encoder: MarkovKernel, prior: Distribution) -> float:
 
 def _generic_quality(encoder_matrix: np.ndarray, mass: np.ndarray) -> float:
     """Array core of ``generic_quality``: encoder matrix and input masses."""
-    best = np.argmax(encoder_matrix * mass, axis=1)
+    return 2.0 * float(mass @ _missed(encoder_matrix, mass))
+
+
+def _missed(encoder_matrix: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Per input, the encoder's mass on codes whose most probable preimage is another input.
+
+    ``mass`` may be a stack shaped [..., input]; the result has its shape.
+    """
+    best = np.argmax(encoder_matrix * mass[..., None, :], axis=-1)
     # summing, per input, the codes that decode elsewhere gives a
     # deterministic encoder an exact zero; a code of zero mass only puts
     # weight on inputs of mass zero, so where it decodes adds nothing
-    missed = np.where(best[:, None] == np.arange(mass.size), 0.0, encoder_matrix).sum(axis=0)
-    return 2.0 * float(mass @ missed)
+    return np.where(best[..., None] == np.arange(mass.shape[-1]), 0.0, encoder_matrix).sum(axis=-2)
 
 
 def _encoder_sweep(g: np.ndarray, n: int) -> np.ndarray:

@@ -12,10 +12,14 @@ of their LPs in one batch, then judge each trial.  No solve consumes the
 generator, so the draws keep the order of a trial-by-trial loop; batching
 saves scipy's per-call overhead, which is most of a small solve.  These
 suites draw plain arrays and compute through the library's array cores
-(``_value``, ``_generic_quality`` and the weighted LP batch), so no draw is
-wrapped in a validated object.  The suites that test a public function
-(``stacking``, ``gap_regret_identity``, ``ib``, ``hellman_raviv`` and the
-value and autoencoder oracles) call it on validated objects.
+(``_value``, ``_feature_gap``, ``_generic_quality`` and the weighted LP
+batch), so no draw is wrapped in a validated object.  ``_value``,
+``_feature_gap`` and ``_missed`` also take stacks, and
+``quality_certificate`` computes each trial's 100 inner problems as padded
+stacks, in a few array operations rather than one problem at a time.
+The suites that test a public function (``stacking``,
+``gap_regret_identity``, ``ib``, ``hellman_raviv`` and the value and
+autoencoder oracles) call it on validated objects.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .bottleneck import ib_distortion, ib_learn
 from .decisions import _feature_gap, _value, conditional_entropy, feature_gap, regret, value
 from .deficiency import _weighted_batch
 from .kernels import Distribution, FiniteSpace, MarkovKernel, bayes_inverse, compose, pushforward
-from .reconstruction import _generic_quality, autoencode, generic_quality, stack
+from .reconstruction import _generic_quality, _missed, autoencode, generic_quality, stack
 from .sampling import _random_columns, random_distribution, random_kernel, random_loss
 
 #: Random losses sampled per trial of ``value_gap_bound``.
@@ -186,28 +190,36 @@ def suite_quality_certificate(rng, trials, max_dim) -> Iterable[Check]:
     against it (the data prior, and with it the quality, follows from each
     problem's experiment and prior); the LP cross-check runs once per trial,
     on the last problem's data prior, and all of them are solved as one
-    batch after the draws.  The encoder and the inner problems are drawn
-    and solved as arrays, through the cores of ``generic_quality`` and
-    ``feature_gap``.
+    batch after the draws.  A trial's problems are drawn one by one into
+    padded stacks, where hypotheses beyond a problem's own carry no mass
+    and actions beyond its own repeat action 0, which moves no minimum and
+    no largest loss.  The qualities and feature gaps of all of them then
+    come from a few array operations, through the cores of
+    ``generic_quality`` and ``feature_gap``.
     """
+    n_actions = max(3, max_dim)
     bounds, cross = [], []
     for _ in range(trials):
         nx = int(rng.integers(2, max_dim + 1))
         encoder = _random_columns(rng, nx, int(rng.integers(2, max_dim + 1)))
-        worst = -np.inf
-        data_mass = None
-        eps = 0.0
-        for _ in range(_PROBLEMS_PER_ENCODER):
+        masses = np.zeros((_PROBLEMS_PER_ENCODER, max_dim))
+        matrices = np.zeros((_PROBLEMS_PER_ENCODER, nx, max_dim))
+        losses = np.zeros((_PROBLEMS_PER_ENCODER, max_dim, n_actions))
+        for p in range(_PROBLEMS_PER_ENCODER):
             nt = int(rng.integers(2, max_dim + 1))
             mass = rng.dirichlet(np.ones(nt))
             t_matrix = _random_columns(rng, nt, nx)
-            data_mass = t_matrix @ mass
-            eps = _generic_quality(encoder, data_mass)
-            na = int(rng.integers(2, max(3, max_dim) + 1))
-            loss_values = rng.uniform(-1.0, 1.0, size=(nt, na))
-            gap = _feature_gap(encoder, t_matrix, mass, loss_values)
-            worst = max(worst, gap - eps * float(np.abs(loss_values).max()))
-        bounds.append((worst, eps))
+            na = int(rng.integers(2, n_actions + 1))
+            masses[p, :nt], matrices[p, :, :nt] = mass, t_matrix
+            losses[p, :nt, :na] = rng.uniform(-1.0, 1.0, size=(nt, na))
+            losses[p, :nt, na:] = losses[p, :nt, :1]
+        data_masses = (matrices @ masses[:, :, None])[:, :, 0]
+        qualities = 2.0 * (data_masses * _missed(encoder, data_masses)).sum(axis=1)
+        gaps = _feature_gap(encoder, matrices, masses, losses)
+        worst = float((gaps - qualities * np.abs(losses).max(axis=(1, 2))).max())
+        # the LP cross-check takes the last problem's quality as generic_quality computes it
+        data_mass = t_matrix @ mass
+        bounds.append((worst, _generic_quality(encoder, data_mass)))
         cross.append((encoder, np.eye(nx), data_mass))
     for i, ((worst, eps), lp) in enumerate(zip(bounds, _deltas(cross))):
         yield Check(f"trial{i}_bound", worst, 1e-6)

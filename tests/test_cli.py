@@ -437,11 +437,12 @@ class TestVerify:
     @pytest.mark.parametrize("max_dim", ["0", "1"])
     @pytest.mark.parametrize("suite", [*SUITES, "all"])
     def test_max_dim_below_two_exits_2(self, capsys, suite, max_dim):
-        code = main(["verify", "--suite", suite, "--trials", "1", "--max-dim", max_dim])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "--trials", "1", "--max-dim", max_dim])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"input error: max_dim must be at least 2, got {max_dim}\n"
+        assert captured.err.endswith(f"argument --max-dim: must be an integer >= 2, got '{max_dim}'\n")
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_max_dim_two_runs(self, capsys, suite):
@@ -482,6 +483,38 @@ def test_bad_seed_exits_2(capsys, sample_file, command, seed):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert f"argument --seed: must be an integer >= 0, got {seed!r}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2",
+          "--iters", "0"], "argument --iters: must be an integer >= 1, got '0'"),
+        (["ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "0"],
+         "argument --latent: must be an integer >= 1, got '0'"),
+        (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "0"],
+         "argument --latent: must be an integer >= 1, got '0'"),
+        (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "-3"],
+         "argument --latent: must be an integer >= 1, got '-3'"),
+        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "0,2"],
+         "argument --sizes: must be comma-separated integers >= 1, got '0,2'"),
+        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "a,2"],
+         "argument --sizes: must be comma-separated integers >= 1, got 'a,2'"),
+        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", ","],
+         "argument --sizes: must be comma-separated integers >= 1, got ','"),
+        (["verify", "--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
+        (["verify", "--trials", "1.5"], "argument --trials: must be an integer >= 1, got '1.5'"),
+        (["verify", "--trials", "1", "--max-dim", "1"], "argument --max-dim: must be an integer >= 2, got '1'"),
+    ],
+)
+def test_out_of_range_integer_names_the_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: {message}\n")
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -455,10 +455,10 @@ def test_weighted_batch_matches_single_solves(linprog_calls):
     del linprog_calls[:]
     batch = _weighted_batch((t.matrix, u.matrix, pi.mass) for t, u, pi, _ in problems)
     assert len(batch) == len(problems)
-    # a few groups of small problems within the cap, and the n = 32 problem alone
+    # a few groups of small problems within the cap on stacked rows, and the n = 32 problem alone
     assert len(linprog_calls) < len(problems) // 4
     shapes = [call["A_ub"].shape for call in linprog_calls]
-    assert [(r, c) for r, c in shapes if r * c > deficiency._BATCH_CELLS] == [(1024, 1056)]
+    assert [(r, c) for r, c in shapes if r > deficiency._BATCH_ROWS] == [(1024, 1056)]
     assert_sparse_matrices(linprog_calls)
     for (t, u, pi, degenerate), (delta, v), single in zip(problems, batch, singles):
         assert v.shape == (u.target.size, t.target.size)
