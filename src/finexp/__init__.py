@@ -15,7 +15,6 @@ from .decisions import (
     mutual_information,
     regret,
     value,
-    zero_one_loss,
 )
 from .deficiency import (
     DeficiencyResult,
@@ -79,5 +78,4 @@ __all__ = [
     "uniform",
     "value",
     "weighted_directed_deficiency",
-    "zero_one_loss",
 ]

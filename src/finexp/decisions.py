@@ -51,11 +51,6 @@ class LossMatrix:
         object.__setattr__(self, "values", v)
 
 
-def zero_one_loss(space: FiniteSpace) -> LossMatrix:
-    """Misclassification loss with actions identified with hypotheses."""
-    return LossMatrix(space, space, 1.0 - np.eye(space.size))
-
-
 def value(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:
     """Risk of the best decision rule that factors through the experiment.
 

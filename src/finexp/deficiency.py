@@ -9,11 +9,11 @@ check spaces once and return a ``DeficiencyResult``: delta, the optimizing
 post-processing kernel as a feasibility witness, and the gap between its
 residual and delta.  The ``_``-prefixed core takes and returns arrays.
 
-Both variants share one block of rows over the witness V (columns are
-output distributions per observed symbol): the entries (V T)[y, theta] and
-the column sums of V.  V T and U are both column-stochastic, so every
-column of the residual U - V T sums to zero and its l1 norm is twice the
-sum of its positive part:
+Both variants are built from one block over the witness V (columns are
+output distributions per observed symbol), in two parts: the entries
+(V T)[y, theta] and the column sums of V.  V T and U are both
+column-stochastic, so every column of the residual U - V T sums to zero and
+its l1 norm is twice the sum of its positive part:
 
     sum_y |U - V T|[y,theta] = 2 * sum_y max(0, U - V T)[y,theta]
 
@@ -54,14 +54,23 @@ simplex, which never stalled on those pairs (slowest 1.05 s, at n = 32):
 they are thousands of small solves in the verify suites, and interior
 point raised small solves to 4.6 ms.
 
-Every constraint matrix goes to the solver as a sparse array of its
-nonzero entries.  At desk scale scipy's per-call overhead is most of a
-solve, so weighted problems are solved in batches: their duals share no
-variable, and consecutive problems are stacked as the blocks of one
-block-diagonal LP while it has at most ``_BATCH_ROWS`` rows.  A problem's
-dual has one row per entry of V, ny * nx, and with sparse matrices rows are
-what HiGHS's work and memory follow.  A single weighted solve is a batch of
-one, and so is a problem with 32 labels on every space (1024 rows).
+Every LP takes one path from arrays to result.  Its constraint matrices
+are assembled as (rows, cols, data, shape) of their nonzero entries:
+``_block``'s two parts, placed as they are for the worst-case primal and
+transposed for the weighted dual.  ``_solve``, the one place that imports
+scipy, makes them sparse arrays and calls ``linprog``.  ``_result`` turns
+delta and the raw V into the witness and the objective gap of either
+variant.
+
+At desk scale scipy's per-call overhead is most of a solve, so weighted
+problems are solved in batches: their duals share no variable, and
+consecutive problems are stacked as the blocks of one block-diagonal LP
+while it has at most ``_BATCH_ROWS`` rows.  A problem's dual has one row
+per entry of V, ny * nx, and with sparse matrices rows are what HiGHS's
+work and memory follow.  Each block's row and column offsets are recorded
+once, as the LP is assembled, and its delta and V are read back at them.
+A single weighted solve is a batch of one, and so is a problem with 32
+labels on every space (1024 rows).
 """
 
 from __future__ import annotations
@@ -98,9 +107,13 @@ _METHODS = {"sup": "highs-ipm", "weighted": "highs"}
 
 
 def _solve(variant, c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=(0, None), options=None):
-    # imported here so that only LP solves pay for loading scipy
+    """Solve one LP; each constraint matrix is given as (rows, cols, data, shape) of its nonzero entries."""
+    # imported here so that only LP solves pay for loading scipy; scipy.sparse
+    # first, since that order loads both about 30 ms sooner than the reverse
+    from scipy.sparse import coo_array
     from scipy.optimize import linprog
 
+    a_ub, a_eq = (None if a is None else coo_array((a[2], (a[0], a[1])), shape=a[3]) for a in (a_ub, a_eq))
     method = _METHODS[variant]
     res = linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method=method, options=options
@@ -131,9 +144,17 @@ def _witness_kernel(v: np.ndarray, first: MarkovKernel, second: MarkovKernel) ->
     return MarkovKernel(first.target, second.target, v / sums)
 
 
-def _residual_norms(first: np.ndarray, second: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The l1 error, per hypothesis, of simulating ``second`` by ``v @ first``."""
-    return np.abs(second - v @ first).sum(axis=0)
+def _result(delta: float, v: np.ndarray, first: MarkovKernel, second: MarkovKernel, mass=None) -> DeficiencyResult:
+    """delta, the witness read from the raw V, and the gap between delta and the witness's residual.
+
+    The residual is the l1 error of simulating ``second`` by the witness
+    after ``first``, averaged over ``mass`` or, when it is None, at the
+    worst hypothesis.
+    """
+    witness = _witness_kernel(v, first, second)
+    norms = np.abs(second.matrix - witness.matrix @ first.matrix).sum(axis=0)
+    residual = float(norms.max() if mass is None else mass @ norms)
+    return DeficiencyResult(delta=delta, witness=witness, objective_gap=abs(residual - delta))
 
 
 #: Weighted problems are stacked into one LP while it has at most this many
@@ -147,29 +168,20 @@ def _residual_norms(first: np.ndarray, second: np.ndarray, v: np.ndarray) -> np.
 _BATCH_ROWS = 512
 
 
-def _matrix(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
-    """The sparse matrix with nonzero entries ``data`` at (rows, cols)."""
-    # imported here so that only LP solves pay for loading scipy
-    from scipy.sparse import coo_array
+def _block(first: np.ndarray, ny: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The entries (V T)[y, theta] and the column sums of V, over the variables V[y, x].
 
-    return coo_array((data, (rows, cols)), shape=shape)
-
-
-def _block(first: np.ndarray, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (V T)[y, theta] over the variables V[y, x], then the column sums of V.
-
-    ``first`` is T, shape (nx, nt).  Row ``y*nt + theta`` is the entry
-    (y, theta) of V T and row ``ny*nt + x`` the sum of column x of V;
-    variable ``y*nx + x`` is V[y, x].  Returns the nonzero entries as
-    (rows, cols, data).
+    ``first`` is T, shape (nx, nt), and variable ``y*nx + x`` is V[y, x].
+    Returns the nonzero entries of each part as (rows, cols, data): row
+    ``y*nt + theta`` of the first part is the entry (y, theta) of V T, and
+    row ``x`` of the second the sum of column x of V.
     """
     nx, nt = first.shape
     x, theta = np.nonzero(first)
     y = np.repeat(np.arange(ny), x.size)
-    rows = np.concatenate([y * nt + np.tile(theta, ny), ny * nt + np.tile(np.arange(nx), ny)])
-    cols = np.concatenate([y * nx + np.tile(x, ny), np.arange(ny * nx)])
-    data = np.concatenate([np.tile(first[x, theta], ny), np.ones(ny * nx)])
-    return rows, cols, data
+    vt = (y * nt + np.tile(theta, ny), y * nx + np.tile(x, ny), np.tile(first[x, theta], ny))
+    sums = (np.tile(np.arange(nx), ny), np.arange(ny * nx), np.ones(ny * nx))
+    return vt, sums
 
 
 def _weighted_batch(problems) -> list[tuple[float, np.ndarray]]:
@@ -184,49 +196,50 @@ def _weighted_batch(problems) -> list[tuple[float, np.ndarray]]:
     """
     results: list[tuple[float, np.ndarray]] = []
     group: list[tuple] = []
-    rows = cols = 0
+    rows = 0
     for problem in problems:
-        (nx, nt), ny = problem[0].shape, problem[1].shape[0]
-        r, c = ny * nx, ny * nt + nx
+        r = problem[0].shape[0] * problem[1].shape[0]  # nx * ny, one row per entry of V
         if group and rows + r > _BATCH_ROWS:
-            results += _weighted_group(group, (rows, cols))
-            group, rows, cols = [], 0, 0
-        group.append((problem, rows, cols))
-        rows, cols = rows + r, cols + c
+            results += _weighted_group(group)
+            group, rows = [], 0
+        group.append(problem)
+        rows += r
     if group:
-        results += _weighted_group(group, (rows, cols))
+        results += _weighted_group(group)
     return results
 
 
-def _weighted_group(group: list[tuple], shape: tuple[int, int]) -> list[tuple[float, np.ndarray]]:
-    """Solve the stacked duals of one group; entries are (problem, row offset, column offset)."""
+def _weighted_group(group: list[tuple]) -> list[tuple[float, np.ndarray]]:
+    """Solve the stacked duals of one group of (T, U, prior mass) problems."""
     c, lower, upper, a_rows, a_cols, a_data = [], [], [], [], [], []
-    for (first, second, mass), row0, col0 in group:
+    row_at, col_at = [0], [0]  # where each block starts, and past the last one
+    for first, second, mass in group:
         (nx, nt), ny = first.shape, second.shape[0]
         # the dual of the half-l1 program: z[y, theta] in [0, 2 prior(theta)], mu[x] free
         c += [-second.reshape(-1), -np.ones(nx)]
         lower += [np.zeros(ny * nt), np.full(nx, -np.inf)]
         upper += [np.tile(2.0 * mass, ny), np.full(nx, np.inf)]
-        rows, cols, data = _block(first, ny)
-        a_rows.append(row0 + cols)  # the block's transpose
-        a_cols.append(col0 + rows)
-        a_data.append(data)
+        # the transpose of _block's two parts: their rows become the columns of z, then of mu
+        (vt_rows, vt_cols, vt_data), (sum_rows, sum_cols, sum_data) = _block(first, ny)
+        a_rows += [row_at[-1] + vt_cols, row_at[-1] + sum_cols]
+        a_cols += [col_at[-1] + vt_rows, col_at[-1] + ny * nt + sum_rows]
+        a_data += [vt_data, sum_data]
+        row_at.append(row_at[-1] + ny * nx)
+        col_at.append(col_at[-1] + ny * nt + nx)
     c = np.concatenate(c)
-    a_ub = _matrix(np.concatenate(a_rows), np.concatenate(a_cols), np.concatenate(a_data), shape)
+    a_ub = (np.concatenate(a_rows), np.concatenate(a_cols), np.concatenate(a_data), (row_at[-1], col_at[-1]))
     # HiGHS lets a bound slip by its primal feasibility tolerance, 1e-7 by
     # default; a prior mass below that would let z overshoot and inflate delta
-    res = _solve("weighted", c, a_ub, np.zeros(shape[0]),
+    res = _solve("weighted", c, a_ub, np.zeros(row_at[-1]),
                  bounds=np.column_stack([np.concatenate(lower), np.concatenate(upper)]),
                  options={"primal_feasibility_tolerance": 1e-9})
     # V is the multiplier of the rows z T + mu <= 0, negated because linprog minimizes
     v_all = -res.ineqlin.marginals
     out = []
-    for (first, second, _), row0, col0 in group:
-        (nx, nt), ny = first.shape, second.shape[0]
-        block = slice(col0, col0 + ny * nt + nx)
+    for (first, second, _), r0, r1, c0, c1 in zip(group, row_at, row_at[1:], col_at, col_at[1:]):
         # summed left to right, as HiGHS sums its objective
-        delta = max(0.0, -float(np.cumsum(c[block] * res.x[block])[-1]))
-        out.append((delta, v_all[row0:row0 + ny * nx].reshape(ny, nx)))
+        delta = max(0.0, -float(np.cumsum(c[c0:c1] * res.x[c0:c1])[-1]))
+        out.append((delta, v_all[r0:r1].reshape(second.shape[0], first.shape[0])))
     return out
 
 
@@ -239,9 +252,7 @@ def weighted_directed_deficiency(
     """
     _check_pair(first, second, prior)
     ((delta, v),) = _weighted_batch([(first.matrix, second.matrix, prior.mass)])
-    witness = _witness_kernel(v, first, second)
-    residual = float(prior.mass @ _residual_norms(first.matrix, second.matrix, witness.matrix))
-    return DeficiencyResult(delta=delta, witness=witness, objective_gap=abs(residual - delta))
+    return _result(delta, v, first, second, prior.mass)
 
 
 def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> DeficiencyResult:
@@ -250,22 +261,17 @@ def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> Deficiency
     t, u = first.matrix, second.matrix
     (nx, nt), ny = t.shape, u.shape[0]
     nv, nr = ny * nx, ny * nt
-    rows, cols, data = _block(t, ny)
-    top, r = rows < nr, np.arange(nr)
+    (rows, cols, data), sums = _block(t, ny)
+    r = np.arange(nr)
     # U - V T <= r, and every per-hypothesis sum of r at most t
-    a_ub = _matrix(
-        np.concatenate([rows[top], r, nr + r % nt, nr + np.arange(nt)]),
-        np.concatenate([cols[top], nv + r, nv + r, np.full(nt, nv + nr)]),
-        np.concatenate([-data[top], np.full(nr, -1.0), np.ones(nr), np.full(nt, -1.0)]),
+    a_ub = (
+        np.concatenate([rows, r, nr + r % nt, nr + np.arange(nt)]),
+        np.concatenate([cols, nv + r, nv + r, np.full(nt, nv + nr)]),
+        np.concatenate([-data, np.full(nr, -1.0), np.ones(nr), np.full(nt, -1.0)]),
         (nr + nt, nv + nr + 1),
     )
     b_ub = np.concatenate([-u.reshape(-1), np.zeros(nt)])
-    a_eq = _matrix(rows[~top] - nr, cols[~top], data[~top], (nx, nv + nr + 1))
     c = np.zeros(nv + nr + 1)
     c[-1] = 2.0
-    res = _solve("sup", c, a_ub, b_ub, a_eq, np.ones(nx))
-    witness = _witness_kernel(res.x[:nv].reshape(ny, nx), first, second)
-    delta = max(0.0, float(res.fun))
-    residual = float(_residual_norms(t, u, witness.matrix).max())
-    return DeficiencyResult(delta=delta, witness=witness, objective_gap=abs(residual - delta))
-
+    res = _solve("sup", c, a_ub, b_ub, (*sums, (nx, nv + nr + 1)), np.ones(nx))
+    return _result(max(0.0, float(res.fun)), res.x[:nv].reshape(ny, nx), first, second)

@@ -82,6 +82,11 @@ def experiments(draw, max_size=5):
     return prior, draw(kernels(source=theta, target=data))
 
 
+def zero_one_loss(space):
+    """Misclassification loss with actions identified with hypotheses."""
+    return LossMatrix(space, space, 1.0 - np.eye(space.size))
+
+
 def identity_kernel(space):
     """The experiment that reveals its input."""
     return MarkovKernel(space, space, np.eye(space.size))

@@ -18,10 +18,11 @@ from pathlib import Path
 import pytest
 
 from finexp.bottleneck import ib_learn
-from finexp.decisions import zero_one_loss
 from finexp.kernels import FiniteSpace, MarkovKernel, uniform
 from finexp.reconstruction import autoencode
 from finexp.verify import run_suite
+
+from strategies import zero_one_loss
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -21,7 +21,6 @@ from finexp.decisions import (
     LossMatrix,
     mutual_information,
     regret,
-    zero_one_loss,
 )
 from finexp.kernels import (
     Distribution,
@@ -34,7 +33,7 @@ from finexp.kernels import (
 )
 from finexp.sampling import random_distribution, random_kernel, random_loss
 
-from strategies import blind_kernel, identity_kernel, information_gap
+from strategies import blind_kernel, identity_kernel, information_gap, zero_one_loss
 
 
 def random_problem(rng, nt=(2, 4), nx=(2, 6), na=(2, 4)):

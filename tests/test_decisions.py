@@ -14,7 +14,6 @@ from finexp.decisions import (
     mutual_information,
     regret,
     value,
-    zero_one_loss,
 )
 from finexp.kernels import (
     Distribution,
@@ -25,7 +24,7 @@ from finexp.kernels import (
 )
 
 import strategies as strat
-from strategies import bayes_risk, blind_kernel, entropy, identity_kernel, information_gap
+from strategies import bayes_risk, blind_kernel, entropy, identity_kernel, information_gap, zero_one_loss
 
 
 def bsc(p):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -6,7 +9,6 @@ from finexp.decisions import bayes_decision_rule, value
 from finexp import deficiency
 from finexp.deficiency import (
     _block,
-    _matrix,
     _weighted_batch,
     directed_deficiency,
     weighted_directed_deficiency,
@@ -397,13 +399,16 @@ def test_block_holds_the_nonzero_entries_of_the_dense_layout():
     m[1:3, 0] = 0.0
     m[:, 2] = np.eye(x.size)[4]
     first = MarkovKernel(theta, x, m / m.sum(axis=0)).matrix
-    dense = np.vstack(
-        [np.kron(np.eye(y.size), first.T), np.kron(np.ones((1, y.size)), np.eye(x.size))]
-    )
-    rows, cols, data = _block(first, y.size)
-    np.testing.assert_array_equal(_matrix(rows, cols, data, dense.shape).toarray(), dense)
-    # no stored zeros: the solver gets exactly the nonzero entries
-    assert np.all(data != 0) and data.size == np.count_nonzero(dense)
+    # the entries of V T, then the column sums of V
+    dense = [np.kron(np.eye(y.size), first.T), np.kron(np.ones((1, y.size)), np.eye(x.size))]
+    parts = _block(first, y.size)
+    assert len(parts) == 2
+    for (rows, cols, data), want in zip(parts, dense):
+        got = np.zeros(want.shape)
+        np.add.at(got, (rows, cols), data)
+        np.testing.assert_array_equal(got, want)
+        # no stored zeros: the solver gets exactly the nonzero entries
+        assert np.all(data != 0) and data.size == np.count_nonzero(want)
 
 
 def _mixed_problems():
@@ -469,6 +474,80 @@ def test_weighted_batch_matches_single_solves(linprog_calls):
         assert abs(weighted_residual(t, u, pi, witness) - delta) <= 1e-9
         if degenerate:
             assert delta <= 1e-8
+
+
+def test_weighted_batch_splits_at_the_row_cap(linprog_calls):
+    # a 4 x 4 problem has 16 dual rows, so cap // 16 of them fill one LP exactly
+    cap = deficiency._BATCH_ROWS
+    assert cap % 16 == 0
+    rng = np.random.default_rng(26)
+    theta = FiniteSpace.of_size(3, "t")
+    small = [(random_kernel(rng, theta, FiniteSpace.of_size(4, "x")),
+              random_kernel(rng, theta, FiniteSpace.of_size(4, "y")),
+              random_distribution(rng, theta)) for _ in range(cap // 16 + 1)]
+    # 24 x 24 is 576 rows, over the cap on its own
+    big = (random_kernel(rng, theta, FiniteSpace.of_size(24, "x")),
+           random_kernel(rng, theta, FiniteSpace.of_size(24, "y")), random_distribution(rng, theta))
+    cases = [
+        (small[:-1], [cap]),
+        (small, [cap, 16]),
+        ([small[0], big, small[1]], [16, 576, 16]),
+    ]
+    for problems, rows in cases:
+        singles = [weighted_directed_deficiency(*p).delta for p in problems]
+        del linprog_calls[:]
+        batch = _weighted_batch([(t.matrix, u.matrix, pi.mass) for t, u, pi in problems])
+        assert [call["A_ub"].shape[0] for call in linprog_calls] == rows
+        # input order: each delta is its own problem's
+        assert len(batch) == len(problems)
+        for (t, u, _), (delta, v), single in zip(problems, batch, singles):
+            assert v.shape == (u.target.size, t.target.size)
+            assert abs(delta - single) <= 1e-12
+        assert len({round(d, 9) for d in singles}) == len(problems)
+
+
+def test_objective_gap_is_each_variants_own_residual():
+    # unequal prior masses, so the weighted residual of a witness is not its worst case
+    gaps = []
+    for rng, theta, t, u in rng_instances(27, 10):
+        pi = Distribution(theta, rng.dirichlet(np.full(theta.size, 0.5)))
+        weighted, sup = weighted_directed_deficiency(t, u, pi), directed_deficiency(t, u)
+        norms = residuals(t, u, weighted.witness)
+        assert weighted.objective_gap == pytest.approx(abs(float(pi.mass @ norms) - weighted.delta), rel=0, abs=1e-15)
+        assert sup.objective_gap == pytest.approx(abs(float(residuals(t, u, sup.witness).max()) - sup.delta),
+                                                  rel=0, abs=1e-15)
+        gaps.append(abs(float(norms.max()) - weighted.delta))
+    # the worst case of the weighted witness is far from its delta, so a gap read at the wrong residual shows
+    assert max(gaps) > 1e-3
+
+
+def _scipy_import_sites(package):
+    """``module.function`` of every import of scipy in the package's source, at any depth."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                sites.append(where)
+            visit(child, where)
+
+    for path in sorted(Path(package).rglob("*.py")):
+        visit(ast.parse(path.read_text()), ".".join(path.relative_to(package).with_suffix("").parts))
+    return sites
+
+
+def test_scipy_is_imported_only_in_solve():
+    # test_only_lp_solves_load_scipy checks when scipy loads; this checks that one function owns the import
+    assert sorted(set(_scipy_import_sites(Path(deficiency.__file__).parent))) == ["deficiency._solve"]
 
 
 def test_public_functions_check_spaces():
