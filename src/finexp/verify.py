@@ -15,8 +15,11 @@ suites draw plain arrays and compute through the library's array cores
 (``_value``, ``_feature_gap``, ``_generic_quality`` and the weighted LP
 batch), so no draw is wrapped in a validated object.  ``_value``,
 ``_feature_gap`` and ``_missed`` also take stacks, and
-``quality_certificate`` computes each trial's 100 inner problems as padded
-stacks, in a few array operations rather than one problem at a time.
+``quality_certificate`` draws each trial's 100 inner problems as padded
+stacks, one generator call per array, and computes on them in a few array
+operations rather than one problem at a time.  Each prior is a cut and
+renormalized uniform Dirichlet draw over ``max_dim`` labels, which is
+uniform Dirichlet over the labels kept.
 The suites that test a public function (``stacking``,
 ``gap_regret_identity``, ``ib``, ``hellman_raviv`` and the value and
 autoencoder oracles) call it on validated objects.
@@ -183,6 +186,28 @@ def suite_encoder_shift_bound(rng, trials, max_dim) -> Iterable[Check]:
         yield Check(f"trial{i}", lhs - _generic_quality(encoder, t @ mass), 1e-6)
 
 
+def _problem_stack(rng, nx, max_dim):
+    """A trial's random problems on ``nx`` outputs as padded stacks, one generator call per array.
+
+    Returns the hypothesis counts ``nts``, the action counts ``nas`` and the
+    stacks of masses [problem, theta], matrices [problem, x, theta] and
+    losses [problem, theta, action].  Padded hypotheses carry no mass, no
+    experiment column and no loss; padded actions repeat action 0.
+    """
+    n_actions = max(3, max_dim)
+    nts = rng.integers(2, max_dim + 1, size=_PROBLEMS_PER_ENCODER)
+    nas = rng.integers(2, n_actions + 1, size=_PROBLEMS_PER_ENCODER)
+    live = np.arange(max_dim) < nts[:, None]
+    masses = np.where(live, rng.dirichlet(np.ones(max_dim), size=_PROBLEMS_PER_ENCODER), 0.0)
+    masses /= masses.sum(axis=1, keepdims=True)
+    columns = rng.dirichlet(np.ones(nx), size=(_PROBLEMS_PER_ENCODER, max_dim))
+    columns[~live] = 0.0
+    losses = rng.uniform(-1.0, 1.0, size=(_PROBLEMS_PER_ENCODER, max_dim, n_actions))
+    losses = np.where(np.arange(n_actions) < nas[:, None, None], losses, losses[:, :, :1])
+    losses[~live] = 0.0
+    return nts, nas, masses, columns.transpose(0, 2, 1), losses
+
+
 def suite_quality_certificate(rng, trials, max_dim) -> Iterable[Check]:
     """Reconstruction quality certifies the feature gap for every consistent problem.
 
@@ -190,35 +215,34 @@ def suite_quality_certificate(rng, trials, max_dim) -> Iterable[Check]:
     against it (the data prior, and with it the quality, follows from each
     problem's experiment and prior); the LP cross-check runs once per trial,
     on the last problem's data prior, and all of them are solved as one
-    batch after the draws.  A trial's problems are drawn one by one into
-    padded stacks, where hypotheses beyond a problem's own carry no mass
-    and actions beyond its own repeat action 0, which moves no minimum and
-    no largest loss.  The qualities and feature gaps of all of them then
-    come from a few array operations, through the cores of
-    ``generic_quality`` and ``feature_gap``.
+    batch after the draws.
+
+    A trial draws its problems as padded stacks (``_problem_stack``), with
+    one generator call each for the hypothesis counts, the action counts,
+    the priors, the experiment matrices and the losses; with the three for
+    its encoder, a trial makes 8.  Problem p's prior is the first nt
+    coordinates of a uniform Dirichlet draw over ``max_dim`` labels,
+    renormalized: a Dirichlet vector is a vector of independent gamma draws
+    divided by its sum, so a renormalized sub-vector is again one, uniform
+    Dirichlet over its nt labels.  Each experiment column is uniform
+    Dirichlet over the outputs and each loss uniform on [-1, 1].  Hypotheses
+    beyond a problem's own carry no mass and actions beyond its own repeat
+    action 0, which moves no minimum and no largest loss.  The qualities and
+    feature gaps of all of them then come from a few array operations,
+    through the cores of ``generic_quality`` and ``feature_gap``.
     """
-    n_actions = max(3, max_dim)
     bounds, cross = [], []
     for _ in range(trials):
         nx = int(rng.integers(2, max_dim + 1))
         encoder = _random_columns(rng, nx, int(rng.integers(2, max_dim + 1)))
-        masses = np.zeros((_PROBLEMS_PER_ENCODER, max_dim))
-        matrices = np.zeros((_PROBLEMS_PER_ENCODER, nx, max_dim))
-        losses = np.zeros((_PROBLEMS_PER_ENCODER, max_dim, n_actions))
-        for p in range(_PROBLEMS_PER_ENCODER):
-            nt = int(rng.integers(2, max_dim + 1))
-            mass = rng.dirichlet(np.ones(nt))
-            t_matrix = _random_columns(rng, nt, nx)
-            na = int(rng.integers(2, n_actions + 1))
-            masses[p, :nt], matrices[p, :, :nt] = mass, t_matrix
-            losses[p, :nt, :na] = rng.uniform(-1.0, 1.0, size=(nt, na))
-            losses[p, :nt, na:] = losses[p, :nt, :1]
+        nts, _, masses, matrices, losses = _problem_stack(rng, nx, max_dim)
         data_masses = (matrices @ masses[:, :, None])[:, :, 0]
         qualities = 2.0 * (data_masses * _missed(encoder, data_masses)).sum(axis=1)
         gaps = _feature_gap(encoder, matrices, masses, losses)
         worst = float((gaps - qualities * np.abs(losses).max(axis=(1, 2))).max())
         # the LP cross-check takes the last problem's quality as generic_quality computes it
-        data_mass = t_matrix @ mass
+        nt = nts[-1]
+        data_mass = matrices[-1, :, :nt] @ masses[-1, :nt]
         bounds.append((worst, _generic_quality(encoder, data_mass)))
         cross.append((encoder, np.eye(nx), data_mass))
     for i, ((worst, eps), lp) in enumerate(zip(bounds, _deltas(cross))):

@@ -29,28 +29,31 @@ from finexp.kernels import (
 )
 from finexp.reconstruction import _generic_quality, generic_quality
 from finexp.sampling import random_distribution, random_kernel, random_loss
-from finexp.verify import SUITES, _SUITE_SALT, _objects, _problem, run_suite
+from finexp.verify import SUITES, _SUITE_SALT, _objects, _problem, _problem_stack, run_suite
 
 from strategies import identity_kernel, symmetric_deficiency
 
 
 def reference_quality_certificate(rng, trials, max_dim, problems_per_encoder: int = 100):
-    """The quality-certificate suite built from validated objects throughout."""
+    """The quality-certificate suite's draws, sliced into validated objects problem by problem."""
+    n_actions = max(3, max_dim)
     for i in range(trials):
         x_space = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "x")
         code = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "z")
         encoder = random_kernel(rng, x_space, code)
+        nts = rng.integers(2, max_dim + 1, size=problems_per_encoder)
+        nas = rng.integers(2, n_actions + 1, size=problems_per_encoder)
+        priors = rng.dirichlet(np.ones(max_dim), size=problems_per_encoder)
+        columns = rng.dirichlet(np.ones(x_space.size), size=(problems_per_encoder, max_dim))
+        loss_draws = rng.uniform(-1.0, 1.0, size=(problems_per_encoder, max_dim, n_actions))
         worst = -np.inf
-        data_prior = None
-        eps = 0.0
-        for _ in range(problems_per_encoder):
-            theta = FiniteSpace.of_size(int(rng.integers(2, max_dim + 1)), "t")
-            prior = random_distribution(rng, theta)
-            t_exp = random_kernel(rng, theta, x_space)
+        for p, (nt, na) in enumerate(zip(nts, nas)):
+            theta = FiniteSpace.of_size(int(nt), "t")
+            prior = Distribution(theta, priors[p, :nt] / priors[p, :nt].sum())
+            t_exp = MarkovKernel(theta, x_space, columns[p, :nt].T)
             data_prior = pushforward(t_exp, prior)
             eps = generic_quality(encoder, data_prior)
-            actions = FiniteSpace.of_size(int(rng.integers(2, max(3, max_dim) + 1)), "a")
-            loss = random_loss(rng, theta, actions)
+            loss = LossMatrix(theta, FiniteSpace.of_size(int(na), "a"), loss_draws[p, :nt, :na])
             gap = feature_gap(loss, prior, t_exp, encoder)
             worst = max(worst, gap - eps * np.abs(loss.values).max())
         yield (f"trial{i}_bound", worst, 1e-6)
@@ -198,6 +201,60 @@ def test_lp_suites_fill_their_batches(linprog_calls, name):
     run_suite(name, 20, 0, 6)
     assert 0 < len(linprog_calls) <= LP_CALLS[name]
     assert all(call["A_ub"].shape[0] <= deficiency._BATCH_ROWS for call in linprog_calls)
+
+
+class _CountingGenerator:
+    """A generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_quality_certificate_draws_each_trial_in_a_few_calls():
+    # drawn one problem at a time, a trial takes 5 calls for each of its 100 problems
+    rng = _CountingGenerator(np.random.default_rng([0, _SUITE_SALT["quality_certificate"]]))
+    checks = list(SUITES["quality_certificate"](rng, 20, 6))
+    assert len(checks) == 40 and all(check.passed for check in checks)
+    assert 0 < rng.calls <= 10 * 20
+
+
+def test_quality_certificate_passes_at_the_label_cap():
+    report = run_suite("quality_certificate", 2, 0, 32)
+    assert report.passed and report.checks == 4
+
+
+@pytest.mark.parametrize("max_dim", [2, 6, 32])
+def test_problem_stack_draws_padded_problems(max_dim):
+    rng = np.random.default_rng(max_dim)
+    n_actions = max(3, max_dim)
+    seen_nt, seen_na = set(), set()
+    for _ in range(20):
+        nx = int(rng.integers(2, max_dim + 1))
+        nts, nas, masses, matrices, losses = _problem_stack(rng, nx, max_dim)
+        assert masses.shape == (100, max_dim) and matrices.shape == (100, nx, max_dim)
+        assert losses.shape == (100, max_dim, n_actions)
+        live = np.arange(max_dim) < nts[:, None]
+        assert np.all(masses[~live] == 0.0) and np.all(masses[live] > 0.0)
+        assert np.allclose(masses.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        columns = matrices.transpose(0, 2, 1)
+        assert np.all(columns[~live] == 0.0) and np.all(columns >= 0.0)
+        assert np.allclose(columns[live].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(losses[~live] == 0.0) and np.all(np.abs(losses) <= 1.0)
+        for loss, na in zip(losses, nas):
+            assert np.array_equal(loss[:, na:], np.repeat(loss[:, :1], n_actions - na, axis=1))
+        seen_nt.update(nts.tolist())
+        seen_na.update(nas.tolist())
+    assert seen_nt == set(range(2, max_dim + 1))
+    assert seen_na == set(range(2, n_actions + 1))
 
 
 def _instances(n):
