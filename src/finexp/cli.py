@@ -1,12 +1,15 @@
 """Command line surface: value, deficiency, autoencode, stack, ib, verify.
 
-All results are JSON on stdout with sorted keys; diagnostics go to stderr.
-Exit codes: 0 success, 1 property failure, 2 input error (including a
-size too large to allocate), 3 conformance (space mismatch) error, 4
-solver fault (the LP solver failed on a program that is feasible by
-construction).  Identical invocations print identical bytes on one machine
-(same numpy and scipy versions, numpy SIMD targets and OpenBLAS core);
-across machines the printed values agree to 1e-12.
+Each command handler returns its result as a dict and writes nothing to
+stdout.  ``main`` is the only stdout writer: it prints that dict once,
+through ``_emit``, as one JSON line with sorted keys, and it is the one
+place exit codes are chosen.  Diagnostics go to stderr.  Exit codes: 0
+success, 1 property failure, 2 input error (including a size too large to
+allocate), 3 conformance (space mismatch) error, 4 solver fault (the LP
+solver failed on a program that is feasible by construction).  Identical
+invocations print identical bytes on one machine (same numpy and scipy
+versions, numpy SIMD targets and OpenBLAS core); across machines the
+printed values agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ _IGNORED_SEED = "ignored: the optimal autoencoder is computed exactly, without r
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    # numpy floats are float subclasses and print as floats; arrays and numpy bools need tolist
+    sys.stdout.write(json.dumps(payload, sort_keys=True, default=lambda obj: obj.tolist()) + "\n")
 
 
 def _finite_nonnegative(text: str) -> float:
@@ -50,8 +54,8 @@ def _finite_nonnegative(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers >= ``low``, whose error argparse prefixes with the flag."""
+def _int_in(low: int, high: int | None = None):
+    """An argparse type for integers from ``low`` to ``high`` (None: no cap); argparse names the flag in errors."""
 
     def parse(text: str) -> int:
         try:
@@ -60,6 +64,8 @@ def _int_at_least(low: int):
             value = low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {high}, got {text!r}")
         return value
 
     return parse
@@ -94,79 +100,62 @@ def _load(args) -> ExperimentFile:
     return load_experiment(args.file, max_dim=max_dim)
 
 
-def _cmd_value(args) -> int:
+def _cmd_value(args) -> dict:
     ef = _load(args)
     experiment = ef.kernel(args.experiment)
     prior = ef.distribution(args.prior)
     loss = ef.loss(args.loss)
-    v = value(loss, prior, experiment)
     rule = bayes_decision_rule(loss, prior, experiment)
     labels = {
         x_label: rule.target.labels[int(np.argmax(rule.matrix[:, j]))]
         for j, x_label in enumerate(rule.source.labels)
     }
-    _emit({"value": float(v), "bayes_rule": labels})
-    return EXIT_OK
+    return {"value": value(loss, prior, experiment), "bayes_rule": labels}
 
 
-def _cmd_deficiency(args) -> int:
+def _cmd_deficiency(args) -> dict:
     ef = _load(args)
     first = ef.kernel(args.first)
     second = ef.kernel(args.second)
     if args.sup:
         res = directed_deficiency(first, second)
-        factors = bool(res.delta <= args.factor_tol)
+        factors = res.delta <= args.factor_tol
     else:
         prior = ef.distribution(args.prior)
         res = weighted_directed_deficiency(first, second, prior)
         # a zero-mass hypothesis would let mismatches hide, so the test is
         # only conclusive for strictly positive priors
-        factors = bool(res.delta <= args.factor_tol) if np.all(prior.mass > 0) else None
-    _emit(
-        {
-            "delta": float(res.delta),
-            "witness": res.witness.matrix.tolist(),
-            "factors_through": factors,
-            "objective_gap": float(res.objective_gap),
-        }
-    )
-    return EXIT_OK
+        factors = res.delta <= args.factor_tol if np.all(prior.mass > 0) else None
+    return {
+        "delta": res.delta,
+        "witness": res.witness.matrix,
+        "factors_through": factors,
+        "objective_gap": res.objective_gap,
+    }
 
 
-def _cmd_autoencode(args) -> int:
+def _cmd_autoencode(args) -> dict:
     _check_code_sizes(args, "--latent", [args.latent])
     ef = _load(args)
-    prior = ef.distribution(args.prior)
-    res = autoencode(prior, args.latent)
-    _emit(
-        {
-            "encoder": res.encoder.matrix.tolist(),
-            "decoder": res.decoder.matrix.tolist(),
-            "epsilon": float(res.epsilon),
-        }
-    )
-    return EXIT_OK
+    res = autoencode(ef.distribution(args.prior), args.latent)
+    return {"encoder": res.encoder.matrix, "decoder": res.decoder.matrix, "epsilon": res.epsilon}
 
 
-def _cmd_stack(args) -> int:
+def _cmd_stack(args) -> dict:
     _check_code_sizes(args, "--sizes", args.sizes)
     ef = _load(args)
-    prior = ef.distribution(args.prior)
-    chain = stack(prior, args.sizes)
-    bound = float(sum(chain.layer_quality))
-    _emit(
-        {
-            "layers": [k.matrix.tolist() for k in chain.layers],
-            "layer_epsilon": list(chain.layer_quality),
-            "total_epsilon": float(chain.total_quality),
-            "bound": bound,
-            "bound_holds": chain.total_quality <= bound + 1e-6,
-        }
-    )
-    return EXIT_OK
+    chain = stack(ef.distribution(args.prior), args.sizes)
+    bound = sum(chain.layer_quality)
+    return {
+        "layers": [k.matrix for k in chain.layers],
+        "layer_epsilon": chain.layer_quality,
+        "total_epsilon": chain.total_quality,
+        "bound": bound,
+        "bound_holds": chain.total_quality <= bound + 1e-6,
+    }
 
 
-def _cmd_ib(args) -> int:
+def _cmd_ib(args) -> dict:
     _check_code_sizes(args, "--latent", [args.latent])
     ef = _load(args)
     experiment = ef.kernel(args.experiment)
@@ -176,37 +165,25 @@ def _cmd_ib(args) -> int:
         loss, prior, experiment, latent_size=args.latent, beta=args.beta,
         max_iters=args.iters, seed=args.seed,
     )
-    trace = list(state.objective_trace)
-    data_prior = pushforward(experiment, prior)
-    _emit(
-        {
-            "encoder": state.encoder.matrix.tolist(),
-            "centroid_posteriors": state.centroid_posteriors.matrix.tolist(),
-            "latent_prior": state.latent_prior.mass.tolist(),
-            "objective_trace": trace,
-            "feature_gap": float(feature_gap(loss, prior, experiment, state.encoder)),
-            "distortion": float(ib_distortion(state, loss, prior, experiment)),
-            "mutual_information_bits": float(mutual_information(data_prior, state.encoder)),
-            "trace_nonincreasing": bool(all(b - a <= 1e-9 for a, b in zip(trace, trace[1:]))),
-        }
-    )
-    return EXIT_OK
+    trace = state.objective_trace
+    return {
+        "encoder": state.encoder.matrix,
+        "centroid_posteriors": state.centroid_posteriors.matrix,
+        "latent_prior": state.latent_prior.mass,
+        "objective_trace": trace,
+        "feature_gap": feature_gap(loss, prior, experiment, state.encoder),
+        "distortion": ib_distortion(state, loss, prior, experiment),
+        "mutual_information_bits": mutual_information(pushforward(experiment, prior), state.encoder),
+        "trace_nonincreasing": all(b - a <= 1e-9 for a, b in zip(trace, trace[1:])),
+    }
 
 
-def _cmd_verify(args) -> int:
-    if args.max_dim > DEFAULT_MAX_DIM:
-        raise SchemaError(f"--max-dim {args.max_dim} exceeds the cap of {DEFAULT_MAX_DIM}")
+def _cmd_verify(args) -> dict:
     if args.suite == "all":
         reports = run_all(trials=args.trials, seed=args.seed, max_dim=args.max_dim)
     else:
         reports = [run_suite(args.suite, trials=args.trials, seed=args.seed, max_dim=args.max_dim)]
-    _emit(
-        {
-            "suites": [r.to_jsonable() for r in reports],
-            "all_pass": all(r.passed for r in reports),
-        }
-    )
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_PROPERTY_FAILURE
+    return {"suites": [r.to_jsonable() for r in reports], "all_pass": all(r.passed for r in reports)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("autoencode", help="optimal discrete autoencoder of a prior")
     add_file(p)
     p.add_argument("--prior", required=True)
-    p.add_argument("--latent", type=_int_at_least(1), required=True, help="code size")
+    p.add_argument("--latent", type=_int_in(1), required=True, help="code size")
     p.add_argument("--seed", type=int, default=0, help=_IGNORED_SEED)
     p.set_defaults(func=_cmd_autoencode)
 
@@ -258,17 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True)
     p.add_argument("--prior", required=True)
     p.add_argument("--loss", required=True)
-    p.add_argument("--latent", type=_int_at_least(1), required=True)
+    p.add_argument("--latent", type=_int_in(1), required=True)
     p.add_argument("--beta", type=_finite_nonnegative, default=0.0)
-    p.add_argument("--iters", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--iters", type=_int_in(1), default=200)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.set_defaults(func=_cmd_ib)
 
     p = sub.add_parser("verify", help="run seeded property suites")
     p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    p.add_argument("--trials", type=_int_at_least(1), default=100)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--max-dim", type=_int_at_least(2), default=6, help="largest sampled space size (cap 32)")
+    p.add_argument("--trials", type=_int_in(1), default=100)
+    p.add_argument("--seed", type=_int_in(0), default=0)
+    p.add_argument("--max-dim", type=_int_in(2, DEFAULT_MAX_DIM), default=6, help="largest sampled space size (cap 32)")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -278,7 +255,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
     except SpaceMismatchError as err:
         sys.stderr.write(f"conformance error: {err}\n")
         return EXIT_CONFORMANCE_ERROR
@@ -288,6 +265,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, MemoryError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT_ERROR
+    _emit(payload)
+    return EXIT_PROPERTY_FAILURE if payload.get("all_pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

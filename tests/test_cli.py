@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import finexp
 from finexp.cli import EXIT_SOLVER_FAULT, main
 from finexp.deficiency import SolverError
 from finexp.verify import SUITES, run_suite
@@ -430,9 +432,13 @@ class TestVerify:
         assert captured.out == ""
 
     def test_max_dim_cap(self, capsys):
-        code = main(["verify", "--suite", "triangle", "--trials", "1", "--max-dim", "33"])
-        assert code == 2
-        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "triangle", "--trials", "1", "--max-dim", "33"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--max-dim" in captured.err and "'33'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("max_dim", ["0", "1"])
     @pytest.mark.parametrize("suite", [*SUITES, "all"])
@@ -537,6 +543,33 @@ def test_stdout_is_one_strict_json_line(capfd, name):
 def test_suites_write_nothing_to_stdout(capfd, suite):
     run_suite(suite, trials=2)
     assert capfd.readouterr().out == ""
+
+
+def _stdout_sites(package):
+    """``module.function`` of every ``print`` call and every use of ``stdout`` in the package's source."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "print"
+                or isinstance(child, ast.Attribute) and child.attr == "stdout"
+                or isinstance(child, ast.Name) and child.id == "stdout"
+            ):
+                sites.append(where)
+            visit(child, where)
+
+    for path in sorted(Path(package).rglob("*.py")):
+        visit(ast.parse(path.read_text()), ".".join(path.relative_to(package).with_suffix("").parts))
+    return sites
+
+
+def test_only_emit_writes_stdout():
+    # the stdout tests above run each command's success path; this covers every path, errors included
+    assert set(_stdout_sites(Path(finexp.__file__).parent)) == {"cli._emit"}
 
 
 IMPORT_PROBE = """

@@ -328,9 +328,10 @@ class TestReferenceEdgeCases:
     def test_degenerate_pairs_stay_at_zero(self):
         # sparse Dirichlet(0.3) columns and priors, some masses near 1e-8:
         # self, garbled and uninformative-target pairs all factor exactly, so
-        # delta keeps the self-deficiency bound
+        # delta keeps the self-deficiency bound; HiGHS may return a sup
+        # objective a hair below 0, which must not reach the caller
         rng = np.random.default_rng(16)
-        worst = 0.0
+        deltas = []
         for _ in range(50):
             theta = FiniteSpace.of_size(int(rng.integers(2, 9)), "t")
             x = FiniteSpace.of_size(int(rng.integers(2, 9)), "x")
@@ -339,8 +340,9 @@ class TestReferenceEdgeCases:
             noise = MarkovKernel(x, z, rng.dirichlet(np.full(z.size, 0.3), size=x.size).T)
             pi = Distribution(theta, rng.dirichlet(np.full(theta.size, 0.3)))
             for u in (t, compose(noise, t), blind_kernel(theta)):
-                worst = max(worst, weighted_directed_deficiency(t, u, pi).delta, directed_deficiency(t, u).delta)
-        assert worst <= 1e-8
+                deltas += [weighted_directed_deficiency(t, u, pi).delta, directed_deficiency(t, u).delta]
+        assert min(deltas) >= 0.0
+        assert max(deltas) <= 1e-8
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_sup_at_interior_point_sizes(self, n):
@@ -363,7 +365,7 @@ class TestReferenceEdgeCases:
         # self and garbled Dirichlet(0.3) pairs factor exactly, so the
         # interior-point solve must land on delta = 0 up to the same bound
         rng = np.random.default_rng(24)
-        worst = 0.0
+        deltas = []
         for n in (16, 24, 32):
             theta, x = FiniteSpace.of_size(n, "t"), FiniteSpace.of_size(n, "x")
             for _ in range(2):
@@ -371,8 +373,9 @@ class TestReferenceEdgeCases:
                 t = MarkovKernel(theta, x, rng.dirichlet(np.full(n, 0.3), size=n).T)
                 noise = MarkovKernel(x, z, rng.dirichlet(np.full(z.size, 0.3), size=n).T)
                 for u in (t, compose(noise, t)):
-                    worst = max(worst, directed_deficiency(t, u).delta)
-        assert worst <= 1e-8
+                    deltas.append(directed_deficiency(t, u).delta)
+        assert min(deltas) >= 0.0
+        assert max(deltas) <= 1e-8
 
 
 def test_sup_solves_by_interior_point_and_weighted_by_simplex(linprog_calls):

@@ -35,6 +35,9 @@ class TestConstruction:
         x = FiniteSpace.of_size(2)
         with pytest.raises(ValueError, match="sums to"):
             Distribution(x, [0.5, 0.4])
+        # README promises sums within 1e-9 of one
+        with pytest.raises(ValueError, match="sums to"):
+            Distribution(x, [0.5 + 2e-9, 0.5])
 
     def test_distribution_rejects_negative(self):
         x = FiniteSpace.of_size(2)
@@ -45,11 +48,17 @@ class TestConstruction:
         x = FiniteSpace.of_size(2)
         d = Distribution(x, [0.5 + 3e-10, 0.5])
         assert d.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        d = Distribution(x, [0.5 + 5e-10, 0.5])
+        assert d.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        k = MarkovKernel(x, x, [[1.0, 0.5 + 5e-10], [0.0, 0.5]])
+        np.testing.assert_allclose(k.matrix.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_kernel_rejects_bad_column(self):
         x = FiniteSpace.of_size(2)
         with pytest.raises(ValueError, match="column 1"):
             MarkovKernel(x, x, [[1.0, 0.3], [0.0, 0.6]])
+        with pytest.raises(ValueError, match="column 1"):
+            MarkovKernel(x, x, [[1.0, 0.5 + 2e-9], [0.0, 0.5]])
 
     def test_kernel_shape_checked(self):
         x = FiniteSpace.of_size(2)

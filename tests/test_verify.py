@@ -369,6 +369,7 @@ def test_public_functions_check_spaces():
 @pytest.mark.parametrize("name, kwargs, message", [
     ("nope", {}, "unknown suite 'nope'; available: "),
     ("triangle", {"trials": 0}, "trials must be at least 1"),
+    ("triangle", {"max_dim": 1}, "max_dim must be at least 2"),
 ])
 def test_run_suite_rejects_bad_arguments(name, kwargs, message):
     with pytest.raises(ValueError, match=message):
