@@ -3,13 +3,15 @@
 Each command handler returns its result as a dict and writes nothing to
 stdout.  ``main`` is the only stdout writer: it prints that dict once,
 through ``_emit``, as one JSON line with sorted keys, and it is the one
-place exit codes are chosen.  Diagnostics go to stderr.  Exit codes: 0
-success, 1 property failure, 2 input error (including a size too large to
-allocate), 3 conformance (space mismatch) error, 4 solver fault (the LP
-solver failed on a program that is feasible by construction).  Identical
-invocations print identical bytes on one machine (same numpy and scipy
-versions, numpy SIMD targets and OpenBLAS core); across machines the
-printed values agree to 1e-12.
+place exit codes are chosen.  It returns every exit code, argparse's
+included, rather than exiting: a rejected flag or a missing command
+returns 2, and ``--help`` prints argparse's help and returns 0.
+Diagnostics go to stderr.  Exit codes: 0 success, 1 property failure, 2
+input error (including a size too large to allocate), 3 conformance
+(space mismatch) error, 4 solver fault (the LP solver failed on a program
+that is feasible by construction).  Identical invocations print identical
+bytes on one machine (same numpy and scipy versions, numpy SIMD targets
+and OpenBLAS core); across machines the printed values agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -252,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on a rejected flag, a missing command and --help
+        return exc.code
     try:
         payload = args.func(args)
     except SpaceMismatchError as err:

@@ -22,8 +22,8 @@ from .kernels import (
     Distribution,
     FiniteSpace,
     MarkovKernel,
+    _bayes_inverse_matrix,
     _mismatch,
-    bayes_inverse,
 )
 
 _LN2 = math.log(2.0)
@@ -82,7 +82,7 @@ def _value(matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray) -> np.
 def bayes_decision_rule(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> MarkovKernel:
     """Deterministic rule picking the best action at each posterior."""
     _check_value_spaces(loss, prior, experiment, "bayes_decision_rule")
-    acts = np.argmin(bayes_inverse(experiment, prior).matrix.T @ loss.values, axis=1)
+    acts = np.argmin(_bayes_inverse_matrix(experiment.matrix, prior.mass)[0].T @ loss.values, axis=1)
     m = np.zeros((loss.actions.size, experiment.target.size))
     m[acts, np.arange(experiment.target.size)] = 1.0
     return MarkovKernel(experiment.target, loss.actions, m)

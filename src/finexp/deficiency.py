@@ -102,11 +102,17 @@ def _check_pair(first: MarkovKernel, second: MarkovKernel, prior: Distribution |
         raise _mismatch("deficiency: prior", first.source, prior.space)
 
 
-#: The HiGHS method of each variant; the module docstring says why.
-_METHODS = {"sup": "highs-ipm", "weighted": "highs"}
+#: The ``linprog`` settings of each variant; the module docstring says why
+#: the methods differ.  HiGHS lets a bound slip by its primal feasibility
+#: tolerance, 1e-7 by default; a prior mass below that would let the
+#: weighted dual's z overshoot its bound and inflate delta.
+_METHODS = {
+    "sup": {"method": "highs-ipm"},
+    "weighted": {"method": "highs", "options": {"primal_feasibility_tolerance": 1e-9}},
+}
 
 
-def _solve(variant, c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=(0, None), options=None):
+def _solve(variant, c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=(0, None)):
     """Solve one LP; each constraint matrix is given as (rows, cols, data, shape) of its nonzero entries."""
     # imported here so that only LP solves pay for loading scipy; scipy.sparse
     # first, since that order loads both about 30 ms sooner than the reverse
@@ -114,17 +120,15 @@ def _solve(variant, c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=(0, None), optio
     from scipy.optimize import linprog
 
     a_ub, a_eq = (None if a is None else coo_array((a[2], (a[0], a[1])), shape=a[3]) for a in (a_ub, a_eq))
-    method = _METHODS[variant]
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method=method, options=options
-    )
+    settings = _METHODS[variant]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, **settings)
     if res.status != 0:
         # the feasible set is a nonempty polytope by construction, so any
         # failure is a solver defect rather than a modeling outcome
         rows = a_ub.shape[0] + (0 if a_eq is None else a_eq.shape[0])
         raise SolverError(
             f"internal LP failure (status {res.status}) in the {variant} LP "
-            f"({rows} x {len(c)}) by method {method}: {res.message}"
+            f"({rows} x {len(c)}) by method {settings['method']}: {res.message}"
         )
     return res
 
@@ -228,11 +232,8 @@ def _weighted_group(group: list[tuple]) -> list[tuple[float, np.ndarray]]:
         col_at.append(col_at[-1] + ny * nt + nx)
     c = np.concatenate(c)
     a_ub = (np.concatenate(a_rows), np.concatenate(a_cols), np.concatenate(a_data), (row_at[-1], col_at[-1]))
-    # HiGHS lets a bound slip by its primal feasibility tolerance, 1e-7 by
-    # default; a prior mass below that would let z overshoot and inflate delta
     res = _solve("weighted", c, a_ub, np.zeros(row_at[-1]),
-                 bounds=np.column_stack([np.concatenate(lower), np.concatenate(upper)]),
-                 options={"primal_feasibility_tolerance": 1e-9})
+                 bounds=np.column_stack([np.concatenate(lower), np.concatenate(upper)]))
     # V is the multiplier of the rows z T + mu <= 0, negated because linprog minimizes
     v_all = -res.ineqlin.marginals
     out = []

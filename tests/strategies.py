@@ -1,5 +1,9 @@
 """Shared hypothesis strategies for small spaces, distributions and kernels, and test helpers."""
 
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -87,6 +91,12 @@ def zero_one_loss(space):
     return LossMatrix(space, space, 1.0 - np.eye(space.size))
 
 
+def bsc(p):
+    """The binary symmetric channel that flips its input with probability p."""
+    theta = FiniteSpace.of_size(2, "t")
+    return MarkovKernel(theta, FiniteSpace.of_size(2, "x"), [[1 - p, p], [p, 1 - p]])
+
+
 def identity_kernel(space):
     """The experiment that reveals its input."""
     return MarkovKernel(space, space, np.eye(space.size))
@@ -119,3 +129,30 @@ def entropy(dist):
     """Shannon entropy in bits, with 0 log 0 = 0."""
     p = dist.mass[dist.mass > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def strict_json(text):
+    """Parse JSON text, rejecting the NaN and Infinity tokens that strict JSON lacks."""
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def code_sites(package, matches):
+    """``module.function`` of every node of the package's source, at any depth, that ``matches`` accepts."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if matches(child):
+                sites.append(where)
+            visit(child, where)
+
+    for path in sorted(Path(package).rglob("*.py")):
+        visit(ast.parse(path.read_text()), ".".join(path.relative_to(package).with_suffix("").parts))
+    return sites

@@ -14,6 +14,8 @@ from finexp.cli import EXIT_SOLVER_FAULT, main
 from finexp.deficiency import SolverError
 from finexp.verify import SUITES, run_suite
 
+from strategies import code_sites, strict_json
+
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_FILE = str(ROOT / "scripts" / "sample_experiment.json")
 
@@ -133,13 +135,6 @@ class TestDeficiency:
         assert out["delta"] == pytest.approx(1.0, abs=1e-7)
         assert len(out["witness"]) == 2  # rows = outputs of the simulated kernel
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6", "abc"])
-    def test_bad_factor_tol_exits_2(self, capsys, sample_file, tol):
-        with pytest.raises(SystemExit) as exc:
-            main(["deficiency", sample_file, "bsc", "bsc", "--prior", "uniform", f"--factor-tol={tol}"])
-        assert exc.value.code == 2
-        assert "--factor-tol" in capsys.readouterr().err
-
     def test_zero_factor_tol_accepted(self, capsys, sample_file):
         code, out = run(capsys, ["deficiency", sample_file, "ident", "ident", "--sup", "--factor-tol", "0"])
         assert code == 0
@@ -182,10 +177,6 @@ class TestDeficiency:
         assert code == 0
         assert out["factors_through"] is False
 
-    def test_prior_and_sup_exclusive(self, sample_file):
-        with pytest.raises(SystemExit):
-            main(["deficiency", sample_file, "bsc", "ident", "--prior", "uniform", "--sup"])
-
 
 class TestAutoencode:
     def test_full_width_lossless(self, capsys, sample_file):
@@ -199,11 +190,6 @@ class TestAutoencode:
         assert sorted(out) == ["decoder", "encoder", "epsilon"]
         assert out["epsilon"] == pytest.approx(1.0, abs=1e-12)
         assert out["decoder"] == [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
-
-    def test_latent_above_cap_exits_2(self, capsys, sample_file):
-        code = main(["autoencode", sample_file, "--prior", "uniform4", "--latent", "33"])
-        assert code == 2
-        assert "--latent 33 exceeds the cap of 32" in capsys.readouterr().err
 
     def test_deterministic_bytes(self, capsys, sample_file):
         argv = ["autoencode", sample_file, "--prior", "uniform4", "--latent", "2"]
@@ -221,16 +207,6 @@ class TestAutoencode:
         for seed in ("7", "12345"):
             assert main(argv + ["--seed", seed]) == 0
             assert capsys.readouterr().out == first
-
-    @pytest.mark.parametrize("flag", ["--restarts", "--iters"])
-    @pytest.mark.parametrize("command", ["autoencode", "stack"])
-    def test_search_flags_are_gone(self, capsys, sample_file, command, flag):
-        argv = [command, sample_file, "--prior", "uniform4"]
-        argv += ["--latent", "2"] if command == "autoencode" else ["--sizes", "3,2"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + [flag, "2"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
 
 
 class TestAllowLarge:
@@ -253,7 +229,7 @@ class TestAllowLarge:
         assert captured.err == self.WARNING
         assert captured.out.endswith("\n")
         assert captured.out.count("\n") == 1
-        return json.loads(captured.out, parse_constant=_reject_constant)
+        return strict_json(captured.out)
 
     def test_33_labels_load_only_with_the_flag(self, capfd, large_file):
         argv = ["autoencode", large_file, "--prior", "uniform33", "--latent", "2"]
@@ -298,17 +274,6 @@ class TestStack:
         assert out["layer_epsilon"][0] == pytest.approx(1.0, abs=1e-12)
         assert out["total_epsilon"] <= out["bound"] + 1e-6
         assert out["bound_holds"] is True
-
-    @pytest.mark.parametrize("sizes", ["4,10000000000", "33", "2,33,1"])
-    def test_size_above_cap_exits_2(self, capsys, sample_file, sizes):
-        code = main(["stack", sample_file, "--prior", "uniform4", "--sizes", sizes])
-        assert code == 2
-        assert "--sizes" in capsys.readouterr().err
-
-    def test_cap_checked_before_the_file_is_read(self, capsys, tmp_path):
-        code = main(["stack", str(tmp_path / "missing.json"), "--prior", "p", "--sizes", "4,10000000000"])
-        assert code == 2
-        assert "--sizes 10000000000 exceeds the cap of 32" in capsys.readouterr().err
 
 
 class TestIB:
@@ -359,11 +324,7 @@ class TestIB:
         path.write_text(json.dumps(doc))
         argv = ["ib", str(path), "--experiment", "ident", "--prior", "tiny", "--loss", "zero_one", "--latent", "2"]
         assert main(argv) == 0
-
-        def reject(token):
-            raise ValueError(f"non-strict JSON constant {token}")
-
-        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        out = strict_json(capsys.readouterr().out)
         assert out["mutual_information_bits"] == pytest.approx(6.643856189774725e-198, rel=1e-12)
 
     @pytest.mark.parametrize("seed", ["0", "2"])
@@ -391,27 +352,6 @@ class TestIB:
         assert captured.out == ""
         assert "max - min overflows" in captured.err
 
-    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-0.5", "abc"])
-    def test_bad_beta_exits_2(self, capsys, sample_file, beta):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "ib", sample_file, "--experiment", "bsc", "--prior", "uniform",
-                    "--loss", "zero_one", "--latent", "2", f"--beta={beta}",
-                ]
-            )
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--beta" in err
-        assert "Traceback" not in err
-
-    def test_latent_above_cap_exits_2(self, capsys, sample_file):
-        code = main(
-            ["ib", sample_file, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "33"]
-        )
-        assert code == 2
-        assert "--latent 33 exceeds the cap of 32" in capsys.readouterr().err
-
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -421,34 +361,6 @@ class TestVerify:
         (suite,) = out["suites"]
         assert suite["failures"] == 0
         assert suite["checks"] == 10  # triangle + self-distance per trial
-
-    def test_unknown_suite_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nope", "--trials", "2"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert "--suite" in captured.err and "'nope'" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-
-    def test_max_dim_cap(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "triangle", "--trials", "1", "--max-dim", "33"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert "--max-dim" in captured.err and "'33'" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("max_dim", ["0", "1"])
-    @pytest.mark.parametrize("suite", [*SUITES, "all"])
-    def test_max_dim_below_two_exits_2(self, capsys, suite, max_dim):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", suite, "--trials", "1", "--max-dim", max_dim])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith(f"argument --max-dim: must be an integer >= 2, got '{max_dim}'\n")
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_max_dim_two_runs(self, capsys, suite):
@@ -478,55 +390,85 @@ STDOUT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("command", ["ib", "verify"])
-@pytest.mark.parametrize("seed", ["-1", "-5", "abc", "1.5"])
-def test_bad_seed_exits_2(capsys, sample_file, command, seed):
-    argv = ["--trials", "1"]
-    if command == "ib":
-        argv = [sample_file, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2"]
-    with pytest.raises(SystemExit) as exc:
-        main([command, *argv, "--seed", seed])
-    assert exc.value.code == 2
+MISSING_FILE = str(ROOT / "tests" / "no-such-file.json")
+IB_ARGV = ["ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2"]
+CAP = "exceeds the cap of 32; pass --allow-large to lift it"
+
+#: (id, argv, the last line it prints on stderr) for every flag value the CLI rejects before computing anything
+REJECTED_FLAGS = [
+    *((f"deficiency-factor-tol-{tol}",
+       ["deficiency", SAMPLE_FILE, "bsc", "bsc", "--prior", "uniform", f"--factor-tol={tol}"],
+       f"finexp deficiency: error: argument --factor-tol: must be a finite number >= 0, got '{tol}'")
+      for tol in ["nan", "inf", "-inf", "-1e-6", "abc"]),
+    ("deficiency-prior-and-sup", ["deficiency", SAMPLE_FILE, "bsc", "ident", "--prior", "uniform", "--sup"],
+     "finexp deficiency: error: argument --sup: not allowed with argument --prior"),
+    ("autoencode-latent-33", ["autoencode", SAMPLE_FILE, "--prior", "uniform4", "--latent", "33"],
+     f"input error: --latent 33 {CAP}"),
+    ("ib-latent-33", [*IB_ARGV[:-1], "33"], f"input error: --latent 33 {CAP}"),
+    # autoencode and stack are exact and take no search flags
+    *((f"{argv[0]}-{flag[2:]}-2", [*argv, flag, "2"], f"finexp: error: unrecognized arguments: {flag} 2")
+      for argv in [["autoencode", SAMPLE_FILE, "--prior", "uniform4", "--latent", "2"],
+                   ["stack", SAMPLE_FILE, "--prior", "uniform4", "--sizes", "3,2"]]
+      for flag in ["--restarts", "--iters"]),
+    *((f"stack-sizes-{sizes}", ["stack", SAMPLE_FILE, "--prior", "uniform4", "--sizes", sizes],
+       f"input error: --sizes {size} {CAP}")
+      for sizes, size in [("4,10000000000", "10000000000"), ("33", "33"), ("2,33,1", "33")]),
+    # the cap is checked before the file is read
+    ("stack-sizes-missing-file", ["stack", MISSING_FILE, "--prior", "p", "--sizes", "4,10000000000"],
+     f"input error: --sizes 10000000000 {CAP}"),
+    *((f"ib-beta-{beta}", [*IB_ARGV, f"--beta={beta}"],
+       f"finexp ib: error: argument --beta: must be a finite number >= 0, got '{beta}'")
+      for beta in ["nan", "inf", "-inf", "-0.5", "abc"]),
+    ("verify-suite-nope", ["verify", "--suite", "nope", "--trials", "2"],
+     "finexp verify: error: argument --suite: invalid choice: 'nope' (choose from "
+     + ", ".join(repr(suite) for suite in [*SUITES, "all"]) + ")"),
+    ("verify-max-dim-33", ["verify", "--suite", "triangle", "--trials", "1", "--max-dim", "33"],
+     "finexp verify: error: argument --max-dim: must be an integer <= 32, got '33'"),
+    *((f"verify-{suite}-max-dim-{max_dim}", ["verify", "--suite", suite, "--trials", "1", "--max-dim", max_dim],
+       f"finexp verify: error: argument --max-dim: must be an integer >= 2, got '{max_dim}'")
+      for suite in [*SUITES, "all"] for max_dim in ["0", "1"]),
+    *((f"{argv[0]}-seed-{seed}", [*argv, "--seed", seed],
+       f"finexp {argv[0]}: error: argument --seed: must be an integer >= 0, got '{seed}'")
+      for argv in [IB_ARGV, ["verify", "--trials", "1"]] for seed in ["-1", "-5", "abc", "1.5"]),
+    *((f"{argv[0]}-{argv[-2][2:]}-{argv[-1]}", argv, f"finexp {argv[0]}: error: argument {argv[-2]}: {text}")
+      for argv, text in [
+          ([*IB_ARGV, "--iters", "0"], "must be an integer >= 1, got '0'"),
+          ([*IB_ARGV[:-1], "0"], "must be an integer >= 1, got '0'"),
+          (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "0"], "must be an integer >= 1, got '0'"),
+          (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "-3"], "must be an integer >= 1, got '-3'"),
+          (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "0,2"],
+           "must be comma-separated integers >= 1, got '0,2'"),
+          (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "a,2"],
+           "must be comma-separated integers >= 1, got 'a,2'"),
+          (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", ","],
+           "must be comma-separated integers >= 1, got ','"),
+          (["verify", "--trials", "0"], "must be an integer >= 1, got '0'"),
+          (["verify", "--trials", "1.5"], "must be an integer >= 1, got '1.5'"),
+          (["verify", "--trials", "1", "--max-dim", "1"], "must be an integer >= 2, got '1'"),
+      ]),
+]
+
+
+@pytest.mark.parametrize("argv, message", [row[1:] for row in REJECTED_FLAGS], ids=[row[0] for row in REJECTED_FLAGS])
+def test_rejected_flag_exits_2(capsys, argv, message):
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"argument --seed: must be an integer >= 0, got {seed!r}" in captured.err
-    assert "Traceback" not in captured.err
     assert captured.out == ""
+    assert captured.err.endswith(message + "\n")
+    assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2",
-          "--iters", "0"], "argument --iters: must be an integer >= 1, got '0'"),
-        (["ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "0"],
-         "argument --latent: must be an integer >= 1, got '0'"),
-        (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "0"],
-         "argument --latent: must be an integer >= 1, got '0'"),
-        (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "-3"],
-         "argument --latent: must be an integer >= 1, got '-3'"),
-        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "0,2"],
-         "argument --sizes: must be comma-separated integers >= 1, got '0,2'"),
-        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "a,2"],
-         "argument --sizes: must be comma-separated integers >= 1, got 'a,2'"),
-        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", ","],
-         "argument --sizes: must be comma-separated integers >= 1, got ','"),
-        (["verify", "--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
-        (["verify", "--trials", "1.5"], "argument --trials: must be an integer >= 1, got '1.5'"),
-        (["verify", "--trials", "1", "--max-dim", "1"], "argument --max-dim: must be an integer >= 2, got '1'"),
-    ],
-)
-def test_out_of_range_integer_names_the_flag(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+def test_help_exits_0_and_a_missing_command_2(capsys):
+    # argparse's other exits come back from main as return codes too
+    for argv, usage in [(["--help"], "usage: finexp [-h]"), (["verify", "--help"], "usage: finexp verify [-h]")]:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage)
+        assert captured.err == ""
+    assert main([]) == 2
     captured = capsys.readouterr()
-    assert captured.err.endswith(f"error: {message}\n")
-    assert "Traceback" not in captured.err
     assert captured.out == ""
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-strict JSON constant {token}")
+    assert captured.err.endswith("finexp: error: the following arguments are required: command\n")
 
 
 @pytest.mark.parametrize("name", STDOUT_CALLS)
@@ -536,7 +478,7 @@ def test_stdout_is_one_strict_json_line(capfd, name):
     out = capfd.readouterr().out
     assert out.endswith("\n")
     assert out.count("\n") == 1
-    assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
+    assert isinstance(strict_json(out), dict)
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -545,31 +487,18 @@ def test_suites_write_nothing_to_stdout(capfd, suite):
     assert capfd.readouterr().out == ""
 
 
-def _stdout_sites(package):
-    """``module.function`` of every ``print`` call and every use of ``stdout`` in the package's source."""
-    sites = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{where}.{child.name}")
-                continue
-            if (
-                isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "print"
-                or isinstance(child, ast.Attribute) and child.attr == "stdout"
-                or isinstance(child, ast.Name) and child.id == "stdout"
-            ):
-                sites.append(where)
-            visit(child, where)
-
-    for path in sorted(Path(package).rglob("*.py")):
-        visit(ast.parse(path.read_text()), ".".join(path.relative_to(package).with_suffix("").parts))
-    return sites
+def _writes_stdout(node):
+    """A ``print`` call or a use of ``stdout``."""
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+        or isinstance(node, ast.Attribute) and node.attr == "stdout"
+        or isinstance(node, ast.Name) and node.id == "stdout"
+    )
 
 
 def test_only_emit_writes_stdout():
     # the stdout tests above run each command's success path; this covers every path, errors included
-    assert set(_stdout_sites(Path(finexp.__file__).parent)) == {"cli._emit"}
+    assert set(code_sites(Path(finexp.__file__).parent, _writes_stdout)) == {"cli._emit"}
 
 
 IMPORT_PROBE = """

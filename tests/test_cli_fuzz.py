@@ -5,7 +5,8 @@ experiment file: keys dropped, values swapped for other JSON types or for
 non-finite numbers, rows shortened, references pointed at missing names.
 The flags mix valid and invalid values, but keep every run small: no
 ``--allow-large``, code sizes of at most 32 and ``verify`` with at most 2
-trials.  An argparse rejection counts as the exit code 2 it raises.
+trials.  ``main`` returns argparse's exit code 2 for a rejected flag, as it
+does every other exit code.
 """
 
 import contextlib
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finexp.cli import main
+
+from strategies import strict_json
 
 ROOT = Path(__file__).resolve().parents[1]
 BASE = json.loads((ROOT / "scripts" / "sample_experiment.json").read_text())
@@ -130,17 +133,10 @@ def command_lines(draw, path):
     ]
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-strict JSON constant {token}")
-
-
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's rejection of a flag
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -149,7 +145,7 @@ def check_run(argv):
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 0:
-        json.loads(out, parse_constant=_reject_constant)
+        strict_json(out)
     else:
         assert out == "", (argv, out)
 

@@ -24,12 +24,7 @@ from finexp.kernels import (
 )
 
 import strategies as strat
-from strategies import bayes_risk, blind_kernel, entropy, identity_kernel, information_gap, zero_one_loss
-
-
-def bsc(p):
-    theta = FiniteSpace.of_size(2, "t")
-    return MarkovKernel(theta, FiniteSpace.of_size(2, "x"), [[1 - p, p], [p, 1 - p]])
+from strategies import bayes_risk, blind_kernel, bsc, entropy, identity_kernel, information_gap, zero_one_loss
 
 
 class TestLossMatrix:

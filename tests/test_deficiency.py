@@ -24,7 +24,7 @@ from finexp.kernels import (
 from finexp.sampling import random_distribution, random_kernel, random_loss
 from finexp.verify import _symmetric, run_suite
 
-from strategies import bayes_risk, blind_kernel, identity_kernel, symmetric_deficiency
+from strategies import bayes_risk, blind_kernel, code_sites, identity_kernel, symmetric_deficiency
 
 
 def residuals(first, second, v):
@@ -524,33 +524,20 @@ def test_objective_gap_is_each_variants_own_residual():
     assert max(gaps) > 1e-3
 
 
-def _scipy_import_sites(package):
-    """``module.function`` of every import of scipy in the package's source, at any depth."""
-    sites = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{where}.{child.name}")
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                sites.append(where)
-            visit(child, where)
-
-    for path in sorted(Path(package).rglob("*.py")):
-        visit(ast.parse(path.read_text()), ".".join(path.relative_to(package).with_suffix("").parts))
-    return sites
+def _imports_scipy(node):
+    """An import of scipy or of one of its modules."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "scipy" for name in names)
 
 
 def test_scipy_is_imported_only_in_solve():
     # test_only_lp_solves_load_scipy checks when scipy loads; this checks that one function owns the import
-    assert sorted(set(_scipy_import_sites(Path(deficiency.__file__).parent))) == ["deficiency._solve"]
+    assert sorted(set(code_sites(Path(deficiency.__file__).parent, _imports_scipy))) == ["deficiency._solve"]
 
 
 def test_public_functions_check_spaces():

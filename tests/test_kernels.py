@@ -15,13 +15,7 @@ from finexp.kernels import (
 )
 
 import strategies as strat
-from strategies import blind_kernel, identity_kernel
-
-
-def bsc(p):
-    theta = FiniteSpace.of_size(2, "t")
-    out = FiniteSpace.of_size(2, "x")
-    return MarkovKernel(theta, out, [[1 - p, p], [p, 1 - p]])
+from strategies import blind_kernel, bsc, identity_kernel
 
 
 class TestConstruction:
