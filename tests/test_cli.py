@@ -18,6 +18,8 @@ from strategies import code_sites, strict_json
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_FILE = str(ROOT / "scripts" / "sample_experiment.json")
+IB_ARGV = ["ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2"]
+CAP = "exceeds the cap of 32; pass --allow-large to lift it"
 
 SAMPLE = {
     "spaces": {
@@ -52,6 +54,15 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def assert_rejected(capsys, argv, message):
+    """``main(argv)`` rejects a flag before computing anything: exit 2, no stdout, ``message`` ends stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message + "\n")
+    assert "Traceback" not in captured.err
 
 
 class TestValue:
@@ -135,6 +146,12 @@ class TestDeficiency:
         assert out["delta"] == pytest.approx(1.0, abs=1e-7)
         assert len(out["witness"]) == 2  # rows = outputs of the simulated kernel
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-6", "abc"])
+    def test_bad_factor_tol_exits_2(self, capsys, sample_file, tol):
+        argv = ["deficiency", sample_file, "bsc", "bsc", "--prior", "uniform", f"--factor-tol={tol}"]
+        message = f"finexp deficiency: error: argument --factor-tol: must be a finite number >= 0, got '{tol}'"
+        assert_rejected(capsys, argv, message)
+
     def test_zero_factor_tol_accepted(self, capsys, sample_file):
         code, out = run(capsys, ["deficiency", sample_file, "ident", "ident", "--sup", "--factor-tol", "0"])
         assert code == 0
@@ -177,6 +194,10 @@ class TestDeficiency:
         assert code == 0
         assert out["factors_through"] is False
 
+    def test_prior_and_sup_exclusive(self, capsys, sample_file):
+        argv = ["deficiency", sample_file, "bsc", "ident", "--prior", "uniform", "--sup"]
+        assert_rejected(capsys, argv, "finexp deficiency: error: argument --sup: not allowed with argument --prior")
+
 
 class TestAutoencode:
     def test_full_width_lossless(self, capsys, sample_file):
@@ -190,6 +211,10 @@ class TestAutoencode:
         assert sorted(out) == ["decoder", "encoder", "epsilon"]
         assert out["epsilon"] == pytest.approx(1.0, abs=1e-12)
         assert out["decoder"] == [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_latent_above_cap_exits_2(self, capsys, sample_file):
+        argv = ["autoencode", sample_file, "--prior", "uniform4", "--latent", "33"]
+        assert_rejected(capsys, argv, f"input error: --latent 33 {CAP}")
 
     def test_deterministic_bytes(self, capsys, sample_file):
         argv = ["autoencode", sample_file, "--prior", "uniform4", "--latent", "2"]
@@ -207,6 +232,13 @@ class TestAutoencode:
         for seed in ("7", "12345"):
             assert main(argv + ["--seed", seed]) == 0
             assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--iters"])
+    @pytest.mark.parametrize("command", ["autoencode", "stack"])
+    def test_search_flags_are_gone(self, capsys, sample_file, command, flag):
+        argv = [command, sample_file, "--prior", "uniform4"]
+        argv += ["--latent", "2"] if command == "autoencode" else ["--sizes", "3,2"]
+        assert_rejected(capsys, argv + [flag, "2"], f"finexp: error: unrecognized arguments: {flag} 2")
 
 
 class TestAllowLarge:
@@ -274,6 +306,15 @@ class TestStack:
         assert out["layer_epsilon"][0] == pytest.approx(1.0, abs=1e-12)
         assert out["total_epsilon"] <= out["bound"] + 1e-6
         assert out["bound_holds"] is True
+
+    @pytest.mark.parametrize("sizes", ["4,10000000000", "33", "2,33,1"])
+    def test_size_above_cap_exits_2(self, capsys, sample_file, sizes):
+        argv = ["stack", sample_file, "--prior", "uniform4", "--sizes", sizes]
+        assert_rejected(capsys, argv, f"input error: --sizes {max(sizes.split(','), key=int)} {CAP}")
+
+    def test_cap_checked_before_the_file_is_read(self, capsys, tmp_path):
+        argv = ["stack", str(tmp_path / "missing.json"), "--prior", "p", "--sizes", "4,10000000000"]
+        assert_rejected(capsys, argv, f"input error: --sizes 10000000000 {CAP}")
 
 
 class TestIB:
@@ -352,6 +393,14 @@ class TestIB:
         assert captured.out == ""
         assert "max - min overflows" in captured.err
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-0.5", "abc"])
+    def test_bad_beta_exits_2(self, capsys, beta):
+        message = f"finexp ib: error: argument --beta: must be a finite number >= 0, got '{beta}'"
+        assert_rejected(capsys, [*IB_ARGV, f"--beta={beta}"], message)
+
+    def test_latent_above_cap_exits_2(self, capsys):
+        assert_rejected(capsys, [*IB_ARGV[:-1], "33"], f"input error: --latent 33 {CAP}")
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -361,6 +410,21 @@ class TestVerify:
         (suite,) = out["suites"]
         assert suite["failures"] == 0
         assert suite["checks"] == 10  # triangle + self-distance per trial
+
+    def test_unknown_suite_exits_2(self, capsys):
+        choices = ", ".join(repr(suite) for suite in [*SUITES, "all"])
+        message = f"finexp verify: error: argument --suite: invalid choice: 'nope' (choose from {choices})"
+        assert_rejected(capsys, ["verify", "--suite", "nope", "--trials", "2"], message)
+
+    def test_max_dim_cap(self, capsys):
+        argv = ["verify", "--suite", "triangle", "--trials", "1", "--max-dim", "33"]
+        assert_rejected(capsys, argv, "finexp verify: error: argument --max-dim: must be an integer <= 32, got '33'")
+
+    @pytest.mark.parametrize("max_dim", ["0", "1"])
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
+    def test_max_dim_below_two_exits_2(self, capsys, suite, max_dim):
+        message = f"finexp verify: error: argument --max-dim: must be an integer >= 2, got '{max_dim}'"
+        assert_rejected(capsys, ["verify", "--suite", suite, "--trials", "1", "--max-dim", max_dim], message)
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_max_dim_two_runs(self, capsys, suite):
@@ -390,72 +454,36 @@ STDOUT_CALLS = {
 }
 
 
-MISSING_FILE = str(ROOT / "tests" / "no-such-file.json")
-IB_ARGV = ["ib", SAMPLE_FILE, "--experiment", "bsc", "--prior", "uniform", "--loss", "zero_one", "--latent", "2"]
-CAP = "exceeds the cap of 32; pass --allow-large to lift it"
-
-#: (id, argv, the last line it prints on stderr) for every flag value the CLI rejects before computing anything
-REJECTED_FLAGS = [
-    *((f"deficiency-factor-tol-{tol}",
-       ["deficiency", SAMPLE_FILE, "bsc", "bsc", "--prior", "uniform", f"--factor-tol={tol}"],
-       f"finexp deficiency: error: argument --factor-tol: must be a finite number >= 0, got '{tol}'")
-      for tol in ["nan", "inf", "-inf", "-1e-6", "abc"]),
-    ("deficiency-prior-and-sup", ["deficiency", SAMPLE_FILE, "bsc", "ident", "--prior", "uniform", "--sup"],
-     "finexp deficiency: error: argument --sup: not allowed with argument --prior"),
-    ("autoencode-latent-33", ["autoencode", SAMPLE_FILE, "--prior", "uniform4", "--latent", "33"],
-     f"input error: --latent 33 {CAP}"),
-    ("ib-latent-33", [*IB_ARGV[:-1], "33"], f"input error: --latent 33 {CAP}"),
-    # autoencode and stack are exact and take no search flags
-    *((f"{argv[0]}-{flag[2:]}-2", [*argv, flag, "2"], f"finexp: error: unrecognized arguments: {flag} 2")
-      for argv in [["autoencode", SAMPLE_FILE, "--prior", "uniform4", "--latent", "2"],
-                   ["stack", SAMPLE_FILE, "--prior", "uniform4", "--sizes", "3,2"]]
-      for flag in ["--restarts", "--iters"]),
-    *((f"stack-sizes-{sizes}", ["stack", SAMPLE_FILE, "--prior", "uniform4", "--sizes", sizes],
-       f"input error: --sizes {size} {CAP}")
-      for sizes, size in [("4,10000000000", "10000000000"), ("33", "33"), ("2,33,1", "33")]),
-    # the cap is checked before the file is read
-    ("stack-sizes-missing-file", ["stack", MISSING_FILE, "--prior", "p", "--sizes", "4,10000000000"],
-     f"input error: --sizes 10000000000 {CAP}"),
-    *((f"ib-beta-{beta}", [*IB_ARGV, f"--beta={beta}"],
-       f"finexp ib: error: argument --beta: must be a finite number >= 0, got '{beta}'")
-      for beta in ["nan", "inf", "-inf", "-0.5", "abc"]),
-    ("verify-suite-nope", ["verify", "--suite", "nope", "--trials", "2"],
-     "finexp verify: error: argument --suite: invalid choice: 'nope' (choose from "
-     + ", ".join(repr(suite) for suite in [*SUITES, "all"]) + ")"),
-    ("verify-max-dim-33", ["verify", "--suite", "triangle", "--trials", "1", "--max-dim", "33"],
-     "finexp verify: error: argument --max-dim: must be an integer <= 32, got '33'"),
-    *((f"verify-{suite}-max-dim-{max_dim}", ["verify", "--suite", suite, "--trials", "1", "--max-dim", max_dim],
-       f"finexp verify: error: argument --max-dim: must be an integer >= 2, got '{max_dim}'")
-      for suite in [*SUITES, "all"] for max_dim in ["0", "1"]),
-    *((f"{argv[0]}-seed-{seed}", [*argv, "--seed", seed],
-       f"finexp {argv[0]}: error: argument --seed: must be an integer >= 0, got '{seed}'")
-      for argv in [IB_ARGV, ["verify", "--trials", "1"]] for seed in ["-1", "-5", "abc", "1.5"]),
-    *((f"{argv[0]}-{argv[-2][2:]}-{argv[-1]}", argv, f"finexp {argv[0]}: error: argument {argv[-2]}: {text}")
-      for argv, text in [
-          ([*IB_ARGV, "--iters", "0"], "must be an integer >= 1, got '0'"),
-          ([*IB_ARGV[:-1], "0"], "must be an integer >= 1, got '0'"),
-          (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "0"], "must be an integer >= 1, got '0'"),
-          (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "-3"], "must be an integer >= 1, got '-3'"),
-          (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "0,2"],
-           "must be comma-separated integers >= 1, got '0,2'"),
-          (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "a,2"],
-           "must be comma-separated integers >= 1, got 'a,2'"),
-          (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", ","],
-           "must be comma-separated integers >= 1, got ','"),
-          (["verify", "--trials", "0"], "must be an integer >= 1, got '0'"),
-          (["verify", "--trials", "1.5"], "must be an integer >= 1, got '1.5'"),
-          (["verify", "--trials", "1", "--max-dim", "1"], "must be an integer >= 2, got '1'"),
-      ]),
-]
+@pytest.mark.parametrize("command", ["ib", "verify"])
+@pytest.mark.parametrize("seed", ["-1", "-5", "abc", "1.5"])
+def test_bad_seed_exits_2(capsys, command, seed):
+    argv = IB_ARGV if command == "ib" else ["verify", "--trials", "1"]
+    message = f"finexp {command}: error: argument --seed: must be an integer >= 0, got '{seed}'"
+    assert_rejected(capsys, [*argv, "--seed", seed], message)
 
 
-@pytest.mark.parametrize("argv, message", [row[1:] for row in REJECTED_FLAGS], ids=[row[0] for row in REJECTED_FLAGS])
-def test_rejected_flag_exits_2(capsys, argv, message):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith(message + "\n")
-    assert "Traceback" not in captured.err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*IB_ARGV, "--iters", "0"], "argument --iters: must be an integer >= 1, got '0'"),
+        ([*IB_ARGV[:-1], "0"], "argument --latent: must be an integer >= 1, got '0'"),
+        (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "0"],
+         "argument --latent: must be an integer >= 1, got '0'"),
+        (["autoencode", SAMPLE_FILE, "--prior", "pixels", "--latent", "-3"],
+         "argument --latent: must be an integer >= 1, got '-3'"),
+        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "0,2"],
+         "argument --sizes: must be comma-separated integers >= 1, got '0,2'"),
+        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", "a,2"],
+         "argument --sizes: must be comma-separated integers >= 1, got 'a,2'"),
+        (["stack", SAMPLE_FILE, "--prior", "pixels", "--sizes", ","],
+         "argument --sizes: must be comma-separated integers >= 1, got ','"),
+        (["verify", "--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
+        (["verify", "--trials", "1.5"], "argument --trials: must be an integer >= 1, got '1.5'"),
+        (["verify", "--trials", "1", "--max-dim", "1"], "argument --max-dim: must be an integer >= 2, got '1'"),
+    ],
+)
+def test_out_of_range_integer_names_the_flag(capsys, argv, message):
+    assert_rejected(capsys, argv, f"finexp {argv[0]}: error: {message}")
 
 
 def test_help_exits_0_and_a_missing_command_2(capsys):
