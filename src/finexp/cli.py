@@ -84,22 +84,18 @@ def _code_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _check_code_sizes(args, flag: str, sizes: list[int]) -> None:
-    """Code sizes share the file spaces' label cap unless --allow-large lifts it."""
-    if args.allow_large:
-        return
-    for k in sizes:
-        if k > DEFAULT_MAX_DIM:
-            raise SchemaError(
-                f"{flag} {k} exceeds the cap of {DEFAULT_MAX_DIM}; pass --allow-large to lift it"
-            )
+def _load(args, flag: str = "", sizes: Sequence[int] = ()) -> ExperimentFile:
+    """Check ``flag``'s code ``sizes`` against the label cap, then load ``args.file`` under it.
 
-
-def _load(args) -> ExperimentFile:
-    max_dim = DEFAULT_MAX_DIM if not args.allow_large else 10**9
+    --allow-large lifts the cap on both, with a warning on stderr.
+    """
     if args.allow_large:
         sys.stderr.write("warning: per-space size cap disabled; LP solves may be slow\n")
-    return load_experiment(args.file, max_dim=max_dim)
+        return load_experiment(args.file, max_dim=math.inf)
+    for k in sizes:
+        if k > DEFAULT_MAX_DIM:
+            raise SchemaError(f"{flag} {k} exceeds the cap of {DEFAULT_MAX_DIM}; pass --allow-large to lift it")
+    return load_experiment(args.file)
 
 
 def _cmd_value(args) -> dict:
@@ -137,15 +133,13 @@ def _cmd_deficiency(args) -> dict:
 
 
 def _cmd_autoencode(args) -> dict:
-    _check_code_sizes(args, "--latent", [args.latent])
-    ef = _load(args)
+    ef = _load(args, "--latent", [args.latent])
     res = autoencode(ef.distribution(args.prior), args.latent)
     return {"encoder": res.encoder.matrix, "decoder": res.decoder.matrix, "epsilon": res.epsilon}
 
 
 def _cmd_stack(args) -> dict:
-    _check_code_sizes(args, "--sizes", args.sizes)
-    ef = _load(args)
+    ef = _load(args, "--sizes", args.sizes)
     chain = stack(ef.distribution(args.prior), args.sizes)
     bound = sum(chain.layer_quality)
     return {
@@ -158,8 +152,7 @@ def _cmd_stack(args) -> dict:
 
 
 def _cmd_ib(args) -> dict:
-    _check_code_sizes(args, "--latent", [args.latent])
-    ef = _load(args)
+    ef = _load(args, "--latent", [args.latent])
     experiment = ef.kernel(args.experiment)
     prior = ef.distribution(args.prior)
     loss = ef.loss(args.loss)
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_file(p):
         p.add_argument("file", help="experiment JSON file")
         p.add_argument(
-            "--allow-large", action="store_true", help="lift the 32-label cap on spaces and code sizes"
+            "--allow-large", action="store_true", help=f"lift the {DEFAULT_MAX_DIM}-label cap on spaces and code sizes"
         )
 
     p = sub.add_parser("value", help="Bayes value and rule of a learning problem")
@@ -247,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--trials", type=_int_in(1), default=100)
     p.add_argument("--seed", type=_int_in(0), default=0)
-    p.add_argument("--max-dim", type=_int_in(2, DEFAULT_MAX_DIM), default=6, help="largest sampled space size (cap 32)")
+    p.add_argument(
+        "--max-dim", type=_int_in(2, DEFAULT_MAX_DIM), default=6, help=f"largest sampled space size (cap {DEFAULT_MAX_DIM})"
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser

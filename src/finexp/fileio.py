@@ -80,7 +80,7 @@ _SECTIONS = (
 )
 
 
-def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> ExperimentFile:
+def experiment_from_dict(doc: dict, max_dim: float = DEFAULT_MAX_DIM) -> ExperimentFile:
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
     out = ExperimentFile()
@@ -109,7 +109,7 @@ def experiment_from_dict(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> Experimen
     return out
 
 
-def load_experiment(path: str | Path, max_dim: int = DEFAULT_MAX_DIM) -> ExperimentFile:
+def load_experiment(path: str | Path, max_dim: float = DEFAULT_MAX_DIM) -> ExperimentFile:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:

@@ -62,24 +62,23 @@ def generic_quality(encoder: MarkovKernel, prior: Distribution) -> float:
     """Twice the best achievable reconstruction error; in [0, 2]."""
     if prior.space != encoder.source:
         raise _mismatch("generic_quality", encoder.source, prior.space)
-    return _generic_quality(encoder.matrix, prior.mass)
+    return float(_generic_quality(encoder.matrix, prior.mass))
 
 
-def _generic_quality(encoder_matrix: np.ndarray, mass: np.ndarray) -> float:
-    """Array core of ``generic_quality``: encoder matrix and input masses."""
-    return 2.0 * float(mass @ _missed(encoder_matrix, mass))
+def _generic_quality(encoder_matrix: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Array core of ``generic_quality``: encoder matrix and input masses.
 
-
-def _missed(encoder_matrix: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Per input, the encoder's mass on codes whose most probable preimage is another input.
-
-    ``mass`` may be a stack shaped [..., input]; the result has its shape.
+    ``mass`` may be a stack shaped [..., input]; the result is shaped [...].
+    Each input is missed with the encoder's mass on codes whose most
+    probable preimage is another input.
     """
     best = np.argmax(encoder_matrix * mass[..., None, :], axis=-1)
     # summing, per input, the codes that decode elsewhere gives a
     # deterministic encoder an exact zero; a code of zero mass only puts
     # weight on inputs of mass zero, so where it decodes adds nothing
-    return np.where(best[..., None] == np.arange(mass.shape[-1]), 0.0, encoder_matrix).sum(axis=-2)
+    missed = np.where(best[..., None] == np.arange(mass.shape[-1]), 0.0, encoder_matrix).sum(axis=-2)
+    # a row times a column sums as the single-prior dot product does, bit for bit
+    return 2.0 * (mass[..., None, :] @ missed[..., :, None])[..., 0, 0]
 
 
 def _encoder_sweep(g: np.ndarray, n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ saves scipy's per-call overhead, which is most of a small solve.  These
 suites draw plain arrays and compute through the library's array cores
 (``_value``, ``_feature_gap``, ``_generic_quality`` and the weighted LP
 batch), so no draw is wrapped in a validated object.  ``_value``,
-``_feature_gap`` and ``_missed`` also take stacks, and
+``_feature_gap`` and ``_generic_quality`` also take stacks, and
 ``quality_certificate`` draws each trial's 100 inner problems as padded
 stacks, one generator call per array, and computes on them in a few array
 operations rather than one problem at a time.  Each prior is a cut and
@@ -37,7 +37,7 @@ from .bottleneck import ib_distortion, ib_learn
 from .decisions import _feature_gap, _value, conditional_entropy, feature_gap, regret, value
 from .deficiency import _weighted_batch
 from .kernels import Distribution, FiniteSpace, MarkovKernel, bayes_inverse, compose, pushforward
-from .reconstruction import _generic_quality, _missed, autoencode, generic_quality, stack
+from .reconstruction import _generic_quality, autoencode, generic_quality, stack
 from .sampling import _random_columns, random_distribution, random_kernel, random_loss
 
 #: Random losses sampled per trial of ``value_gap_bound``.
@@ -237,7 +237,7 @@ def suite_quality_certificate(rng, trials, max_dim) -> Iterable[Check]:
         encoder = _random_columns(rng, nx, int(rng.integers(2, max_dim + 1)))
         nts, _, masses, matrices, losses = _problem_stack(rng, nx, max_dim)
         data_masses = (matrices @ masses[:, :, None])[:, :, 0]
-        qualities = 2.0 * (data_masses * _missed(encoder, data_masses)).sum(axis=1)
+        qualities = _generic_quality(encoder, data_masses)
         gaps = _feature_gap(encoder, matrices, masses, losses)
         worst = float((gaps - qualities * np.abs(losses).max(axis=(1, 2))).max())
         # the LP cross-check takes the last problem's quality as generic_quality computes it

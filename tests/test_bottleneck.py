@@ -18,7 +18,6 @@ from finexp.bottleneck import (
     latent_prior_step,
 )
 from finexp.decisions import (
-    LossMatrix,
     mutual_information,
     regret,
 )

@@ -216,6 +216,10 @@ class TestAutoencode:
         argv = ["autoencode", sample_file, "--prior", "uniform4", "--latent", "33"]
         assert_rejected(capsys, argv, f"input error: --latent 33 {CAP}")
 
+    def test_cap_checked_before_the_file_is_read(self, capsys, tmp_path):
+        argv = ["autoencode", str(tmp_path / "missing.json"), "--prior", "p", "--latent", "33"]
+        assert_rejected(capsys, argv, f"input error: --latent 33 {CAP}")
+
     def test_deterministic_bytes(self, capsys, sample_file):
         argv = ["autoencode", sample_file, "--prior", "uniform4", "--latent", "2"]
         assert main(argv) == 0
@@ -272,17 +276,18 @@ class TestAllowLarge:
         out = self._with_flag(capfd, argv)
         assert out["epsilon"] == pytest.approx(2.0 * 31 / 33, abs=1e-12)
 
-    @pytest.mark.parametrize("command", ["autoencode", "ib"])
+    @pytest.mark.parametrize("command", ["autoencode", "ib", "stack"])
     def test_latent_33_runs_only_with_the_flag(self, capfd, sample_file, command):
-        argv = [command, sample_file, "--prior", "uniform", "--latent", "33"]
+        flag, sizes = ("--sizes", "33,2") if command == "stack" else ("--latent", "33")
+        argv = [command, sample_file, "--prior", "uniform", flag, sizes]
         if command == "ib":
             argv += ["--experiment", "bsc", "--loss", "zero_one"]
         assert main(argv) == 2
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err == "input error: --latent 33 exceeds the cap of 32; pass --allow-large to lift it\n"
+        assert captured.err == f"input error: {flag} 33 {CAP}\n"
         out = self._with_flag(capfd, argv)
-        assert len(out["encoder"]) == 33
+        assert len(out["layers"][0] if command == "stack" else out["encoder"]) == 33
 
     @pytest.mark.parametrize("command, flags", [
         ("autoencode", ["--latent", str(10**17)]),
@@ -400,6 +405,10 @@ class TestIB:
 
     def test_latent_above_cap_exits_2(self, capsys):
         assert_rejected(capsys, [*IB_ARGV[:-1], "33"], f"input error: --latent 33 {CAP}")
+
+    def test_cap_checked_before_the_file_is_read(self, capsys, tmp_path):
+        argv = ["ib", str(tmp_path / "missing.json"), "--experiment", "e", "--prior", "p", "--loss", "l"]
+        assert_rejected(capsys, argv + ["--latent", "33"], f"input error: --latent 33 {CAP}")
 
 
 class TestVerify:
