@@ -26,7 +26,8 @@ from .kernels import (
     FiniteSpace,
     MarkovKernel,
     _bayes_inverse_matrix,
-    _mismatch,
+    _check_space,
+    _deterministic,
     bayes_inverse,
     pushforward,
 )
@@ -57,10 +58,8 @@ class _Problem:
 
 
 def _problem(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> _Problem:
-    if loss.theta != experiment.source:
-        raise _mismatch("bottleneck: loss hypotheses", experiment.source, loss.theta)
-    if prior.space != experiment.source:
-        raise _mismatch("bottleneck: prior", experiment.source, prior.space)
+    _check_space("bottleneck: loss hypotheses", experiment.source, loss.theta)
+    _check_space("bottleneck: prior", experiment.source, prior.space)
     posts = bayes_inverse(experiment, prior).matrix
     exp_post = posts.T @ loss.values
     px = pushforward(experiment, prior).mass
@@ -147,11 +146,8 @@ def latent_prior_step(problem: _Problem, enc: np.ndarray) -> np.ndarray:
 
 def encoder_step(table: np.ndarray, latent_prior: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs encoder columns for a regret table, or the argmin assignment at beta = 0."""
-    n, k = table.shape
     if beta == 0:
-        enc = np.zeros((k, n))
-        enc[np.argmin(table, axis=1), np.arange(n)] = 1.0
-        return enc
+        return _deterministic(np.argmin(table, axis=1), table.shape[1])
     # shifting each row to its least regret first keeps a subnormal beta
     # from turning every regret into inf; larger regrets may still overflow
     # to inf, which is weight zero
@@ -210,9 +206,7 @@ def ib_learn(
     rng = np.random.default_rng(seed)
     problem = _problem(loss, prior, experiment)
 
-    assign = _seed_assignment(problem, latent_size, rng)
-    enc = np.zeros((latent_size, problem.px.size))
-    enc[assign, np.arange(problem.px.size)] = 1.0
+    enc = _deterministic(_seed_assignment(problem, latent_size, rng), latent_size)
     trace = []
     for _ in range(max_iters):
         centroids = centroid_step(problem, enc, beta)

@@ -23,7 +23,8 @@ from .kernels import (
     FiniteSpace,
     MarkovKernel,
     _bayes_inverse_matrix,
-    _mismatch,
+    _check_space,
+    _deterministic,
 )
 
 _LN2 = math.log(2.0)
@@ -62,10 +63,8 @@ def value(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> fl
 
 
 def _check_value_spaces(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel, caller: str = "value") -> None:
-    if experiment.source != loss.theta:
-        raise _mismatch(f"{caller}: experiment input", loss.theta, experiment.source)
-    if prior.space != loss.theta:
-        raise _mismatch(f"{caller}: prior", loss.theta, prior.space)
+    _check_space(f"{caller}: experiment input", loss.theta, experiment.source)
+    _check_space(f"{caller}: prior", loss.theta, prior.space)
 
 
 def _value(matrix: np.ndarray, mass: np.ndarray, loss_values: np.ndarray) -> np.ndarray:
@@ -83,9 +82,7 @@ def bayes_decision_rule(loss: LossMatrix, prior: Distribution, experiment: Marko
     """Deterministic rule picking the best action at each posterior."""
     _check_value_spaces(loss, prior, experiment, "bayes_decision_rule")
     acts = np.argmin(_bayes_inverse_matrix(experiment.matrix, prior.mass)[0].T @ loss.values, axis=1)
-    m = np.zeros((loss.actions.size, experiment.target.size))
-    m[acts, np.arange(experiment.target.size)] = 1.0
-    return MarkovKernel(experiment.target, loss.actions, m)
+    return MarkovKernel(experiment.target, loss.actions, _deterministic(acts, loss.actions.size))
 
 
 def regret(loss: LossMatrix, p: Distribution, q: Distribution) -> float:
@@ -94,8 +91,8 @@ def regret(loss: LossMatrix, p: Distribution, q: Distribution) -> float:
     Coincides with the Bregman divergence generated by the concave envelope
     of the loss; always nonnegative up to rounding.
     """
-    if p.space != loss.theta or q.space != loss.theta:
-        raise _mismatch("regret", loss.theta, p.space if p.space != loss.theta else q.space)
+    _check_space("regret", loss.theta, p.space)
+    _check_space("regret", loss.theta, q.space)
     # the Bayes act for q; ties go to the lowest index
     a = int(np.argmin(q.mass @ loss.values))
     return float(p.mass @ loss.values[:, a] - (p.mass @ loss.values).min())
@@ -108,8 +105,7 @@ def feature_gap(
     encoder: MarkovKernel,
 ) -> float:
     """Value lost by deciding from encoded data instead of raw data (>= 0)."""
-    if encoder.source != experiment.target:
-        raise _mismatch("feature_gap: encoder input", experiment.target, encoder.source)
+    _check_space("feature_gap: encoder input", experiment.target, encoder.source)
     _check_value_spaces(loss, prior, experiment, "feature_gap")
     return float(_feature_gap(encoder.matrix, experiment.matrix, prior.mass, loss.values))
 
@@ -140,8 +136,7 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def conditional_entropy(prior: Distribution, encoder: MarkovKernel) -> float:
     """H(input | output) in bits under the joint of prior and encoder."""
-    if prior.space != encoder.source:
-        raise _mismatch("conditional_entropy", encoder.source, prior.space)
+    _check_space("conditional_entropy", encoder.source, prior.space)
     jm = encoder.matrix * prior.mass[None, :]
     pz = jm.sum(axis=1)
     return float((_xlogy(jm, pz[:, None]).sum() - _xlogy(jm, jm).sum()) / _LN2)
@@ -149,8 +144,7 @@ def conditional_entropy(prior: Distribution, encoder: MarkovKernel) -> float:
 
 def mutual_information(prior: Distribution, encoder: MarkovKernel) -> float:
     """I(input ; output) in bits under the joint of prior and encoder."""
-    if prior.space != encoder.source:
-        raise _mismatch("mutual_information", encoder.source, prior.space)
+    _check_space("mutual_information", encoder.source, prior.space)
     jm = encoder.matrix * prior.mass[None, :]
     pz = jm.sum(axis=1)
     # ln jm - ln pz - ln prior term by term: the product pz * prior may

@@ -5,9 +5,11 @@ directed deficiency is the smallest average l1 error achievable by
 post-processing, the directed deficiency takes the worst case over
 hypotheses (equivalently, the supremum over priors), and the symmetric
 deficiency is the larger of the two directions.  Both public functions
-check spaces once and return a ``DeficiencyResult``: delta, the optimizing
-post-processing kernel as a feasibility witness, and the gap between its
-residual and delta.  The ``_``-prefixed core takes and returns arrays.
+check spaces once, through ``kernels._check_space`` (the experiments share
+their hypotheses, and the weighted variant's prior is over them), and
+return a ``DeficiencyResult``: delta, the optimizing post-processing
+kernel as a feasibility witness, and the gap between its residual and
+delta.  The ``_``-prefixed core takes and returns arrays.
 
 Both variants are built from one block over the witness V (columns are
 output distributions per observed symbol), in two parts: the entries
@@ -79,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Distribution, MarkovKernel, _mismatch
+from .kernels import Distribution, MarkovKernel, _check_space
 
 
 class SolverError(RuntimeError):
@@ -93,13 +95,6 @@ class DeficiencyResult:
     delta: float
     witness: MarkovKernel
     objective_gap: float
-
-
-def _check_pair(first: MarkovKernel, second: MarkovKernel, prior: Distribution | None = None) -> None:
-    if first.source != second.source:
-        raise _mismatch("deficiency: experiments must share hypotheses", first.source, second.source)
-    if prior is not None and prior.space != first.source:
-        raise _mismatch("deficiency: prior", first.source, prior.space)
 
 
 #: The ``linprog`` settings of each variant; the module docstring says why
@@ -251,14 +246,15 @@ def weighted_directed_deficiency(
 
     Hypotheses carrying zero prior mass simply drop out of the objective.
     """
-    _check_pair(first, second, prior)
+    _check_space("deficiency: experiments must share hypotheses", first.source, second.source)
+    _check_space("deficiency: prior", first.source, prior.space)
     ((delta, v),) = _weighted_batch([(first.matrix, second.matrix, prior.mass)])
     return _result(delta, v, first, second, prior.mass)
 
 
 def directed_deficiency(first: MarkovKernel, second: MarkovKernel) -> DeficiencyResult:
     """Worst case over hypotheses (equivalently priors) of the simulation error."""
-    _check_pair(first, second)
+    _check_space("deficiency: experiments must share hypotheses", first.source, second.source)
     t, u = first.matrix, second.matrix
     (nx, nt), ny = t.shape, u.shape[0]
     nv, nr = ny * nx, ny * nt

@@ -6,6 +6,11 @@ kernel from a space of size m to a space of size k is a k-by-m matrix
 whose columns are distributions (column x is the output distribution given
 input x).  All values are immutable after construction and all operations
 are pure functions, so everything here is safe to share across threads.
+
+Objects combine only over one shared space.  The public functions of the
+package check that through ``_check_space``, its only raiser of
+``SpaceMismatchError``, whose message reads
+``<context>: expected space (...), got (...)``.
 """
 
 from __future__ import annotations
@@ -50,8 +55,15 @@ class FiniteSpace:
         return len(self.labels)
 
 
-def _mismatch(context: str, expected: FiniteSpace, got: FiniteSpace) -> SpaceMismatchError:
-    return SpaceMismatchError(f"{context}: expected space {expected.labels}, got {got.labels}")
+def _check_space(context: str, expected: FiniteSpace, got: FiniteSpace) -> None:
+    """Raise ``SpaceMismatchError`` naming ``context`` and both spaces unless ``got`` equals ``expected``."""
+    if got != expected:
+        raise SpaceMismatchError(f"{context}: expected space {expected.labels}, got {got.labels}")
+
+
+def _deterministic(index: np.ndarray, size: int) -> np.ndarray:
+    """The 0/1 matrix with ``size`` rows whose column x puts all its mass on row ``index[x]``."""
+    return (np.arange(size)[:, None] == index).astype(float)
 
 
 def _normalize_columns(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -123,15 +135,13 @@ class MarkovKernel:
 
 def compose(outer: MarkovKernel, inner: MarkovKernel) -> MarkovKernel:
     """Kernel composition (outer after inner) by matrix multiplication."""
-    if outer.source != inner.target:
-        raise _mismatch("compose: outer input must match inner output", inner.target, outer.source)
+    _check_space("compose: outer input must match inner output", inner.target, outer.source)
     return MarkovKernel(inner.source, outer.target, outer.matrix @ inner.matrix)
 
 
 def pushforward(kernel: MarkovKernel, dist: Distribution) -> Distribution:
     """Image of a distribution under a kernel."""
-    if dist.space != kernel.source:
-        raise _mismatch("pushforward", kernel.source, dist.space)
+    _check_space("pushforward", kernel.source, dist.space)
     return Distribution(kernel.target, kernel.matrix @ dist.mass)
 
 
@@ -157,7 +167,6 @@ def bayes_inverse(kernel: MarkovKernel, prior: Distribution) -> MarkovKernel:
     downstream weights them by zero, so the convention is observationally
     neutral.
     """
-    if prior.space != kernel.source:
-        raise _mismatch("bayes_inverse", kernel.source, prior.space)
+    _check_space("bayes_inverse", kernel.source, prior.space)
     post, _ = _bayes_inverse_matrix(kernel.matrix, prior.mass)
     return MarkovKernel(kernel.target, kernel.source, post)

@@ -27,7 +27,8 @@ from .kernels import (
     Distribution,
     FiniteSpace,
     MarkovKernel,
-    _mismatch,
+    _check_space,
+    _deterministic,
     compose,
     pushforward,
 )
@@ -54,14 +55,12 @@ class FeatureChain:
 
     def __post_init__(self) -> None:
         for lo, hi in zip(self.layers, self.layers[1:]):
-            if hi.source != lo.target:
-                raise _mismatch("chain: adjacent layers", lo.target, hi.source)
+            _check_space("chain: adjacent layers", lo.target, hi.source)
 
 
 def generic_quality(encoder: MarkovKernel, prior: Distribution) -> float:
     """Twice the best achievable reconstruction error; in [0, 2]."""
-    if prior.space != encoder.source:
-        raise _mismatch("generic_quality", encoder.source, prior.space)
+    _check_space("generic_quality", encoder.source, prior.space)
     return float(_generic_quality(encoder.matrix, prior.mass))
 
 
@@ -117,16 +116,12 @@ def autoencode(prior: Distribution, latent_size: int) -> AutoencoderResult:
     f = _encoder_sweep(g, n)
 
     latent = FiniteSpace.of_size(k, prefix="z")
-    enc = np.zeros((k, n))
-    enc[f, np.arange(n)] = 1.0
-    dec = np.zeros((n, k))
-    dec[g, np.arange(k)] = 1.0
     # summing the unrecovered mass avoids 1 - (sum ~ 1) cancellation, so a
     # lossless code reports exactly zero
     missed = float(px[g[f] != np.arange(n)].sum())
     return AutoencoderResult(
-        encoder=MarkovKernel(prior.space, latent, enc),
-        decoder=MarkovKernel(latent, prior.space, dec),
+        encoder=MarkovKernel(prior.space, latent, _deterministic(f, k)),
+        decoder=MarkovKernel(latent, prior.space, _deterministic(g, n)),
         epsilon=2.0 * missed,
     )
 

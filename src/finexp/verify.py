@@ -28,7 +28,7 @@ autoencoder oracles) call it on validated objects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -76,16 +76,7 @@ class SuiteReport:
         return self.failures == 0
 
     def to_jsonable(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "checks": self.checks,
-            "passes": self.checks - self.failures,
-            "failures": self.failures,
-            "worst_slack": float(self.worst_slack),
-            "worst_check": self.worst_check,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passes": self.checks - self.failures, "passed": self.passed}
 
 
 def _space_sizes(rng: np.random.Generator, max_dim: int, n: int) -> list[int]:

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finexp import kernels
 from finexp.kernels import (
     Distribution,
     FiniteSpace,
@@ -15,7 +19,7 @@ from finexp.kernels import (
 )
 
 import strategies as strat
-from strategies import blind_kernel, bsc, identity_kernel
+from strategies import blind_kernel, bsc, code_sites, identity_kernel
 
 
 class TestConstruction:
@@ -225,3 +229,22 @@ class TestVariationalDivergence:
             for i in range(t.source.size)
         )
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _builds_space_mismatch(node):
+    """A call of ``SpaceMismatchError``."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SpaceMismatchError"
+
+
+def test_only_check_space_raises_space_mismatch():
+    # a raise counts when it names the error or a package function that builds one
+    package = Path(kernels.__file__).parent
+    builders = {site.rsplit(".", 1)[1] for site in code_sites(package, _builds_space_mismatch)}
+    builders.add("SpaceMismatchError")
+
+    def raises_space_mismatch(node):
+        return isinstance(node, ast.Raise) and node.exc is not None and any(
+            isinstance(name, ast.Name) and name.id in builders for name in ast.walk(node.exc)
+        )
+
+    assert set(code_sites(package, raises_space_mismatch)) == {"kernels._check_space"}

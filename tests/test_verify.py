@@ -16,7 +16,7 @@ from finexp.decisions import (
     value,
 )
 from finexp import deficiency
-from finexp.deficiency import weighted_directed_deficiency
+from finexp.deficiency import directed_deficiency, weighted_directed_deficiency
 from finexp.kernels import (
     Distribution,
     FiniteSpace,
@@ -27,7 +27,7 @@ from finexp.kernels import (
     pushforward,
     uniform,
 )
-from finexp.reconstruction import _generic_quality, generic_quality
+from finexp.reconstruction import FeatureChain, _generic_quality, generic_quality
 from finexp.sampling import random_distribution, random_kernel, random_loss
 from finexp.verify import SUITES, _SUITE_SALT, _objects, _problem, _problem_stack, run_suite
 
@@ -336,34 +336,38 @@ def test_public_functions_equal_their_cores():
 def test_public_functions_check_spaces():
     prior, t_exp, encoder, loss = next(_instances(1))
     other = uniform(FiniteSpace.of_size(prior.space.size, "u"))
-    with pytest.raises(SpaceMismatchError, match="value: prior"):
-        value(loss, other, t_exp)
-    with pytest.raises(SpaceMismatchError, match="feature_gap: prior"):
-        feature_gap(loss, other, t_exp, encoder)
-    with pytest.raises(SpaceMismatchError, match="feature_gap: encoder input"):
-        feature_gap(loss, prior, t_exp, identity_kernel(encoder.target))
-    with pytest.raises(SpaceMismatchError, match="generic_quality"):
-        generic_quality(encoder, prior)
-    with pytest.raises(SpaceMismatchError, match="bayes_decision_rule: prior"):
-        bayes_decision_rule(loss, other, t_exp)
+    theta, u, x, z = prior.space, other.space, t_exp.target, encoder.target
+    # the experiment and the loss over hypotheses u instead of theta
+    alien = MarkovKernel(u, x, t_exp.matrix)
+    alien_loss = LossMatrix(u, loss.actions, loss.values)
     state = ib_learn(loss, prior, t_exp, latent_size=2)
-    for call in (
-        lambda: ib_learn(loss, other, t_exp, latent_size=2),
-        lambda: ib_distortion(state, loss, other, t_exp),
-        lambda: ib_objective(state, loss, other, t_exp),
+    for context, expected, got, call in (
+        ("value: prior", theta, u, lambda: value(loss, other, t_exp)),
+        ("value: experiment input", theta, u, lambda: value(loss, prior, alien)),
+        ("feature_gap: prior", theta, u, lambda: feature_gap(loss, other, t_exp, encoder)),
+        ("feature_gap: encoder input", x, z, lambda: feature_gap(loss, prior, t_exp, identity_kernel(z))),
+        ("generic_quality", x, theta, lambda: generic_quality(encoder, prior)),
+        ("bayes_decision_rule: prior", theta, u, lambda: bayes_decision_rule(loss, other, t_exp)),
+        ("bottleneck: prior", theta, u, lambda: ib_learn(loss, other, t_exp, latent_size=2)),
+        ("bottleneck: prior", theta, u, lambda: ib_distortion(state, loss, other, t_exp)),
+        ("bottleneck: prior", theta, u, lambda: ib_objective(state, loss, other, t_exp)),
+        ("bottleneck: loss hypotheses", theta, u, lambda: ib_learn(alien_loss, prior, t_exp, latent_size=2)),
+        ("regret", theta, u, lambda: regret(loss, other, prior)),
+        ("regret", theta, u, lambda: regret(loss, prior, other)),
+        ("conditional_entropy", x, u, lambda: conditional_entropy(other, encoder)),
+        ("mutual_information", x, u, lambda: mutual_information(other, encoder)),
+        ("pushforward", theta, u, lambda: pushforward(t_exp, other)),
+        ("bayes_inverse", theta, u, lambda: bayes_inverse(t_exp, other)),
+        ("compose: outer input must match inner output", x, theta, lambda: compose(t_exp, t_exp)),
+        ("chain: adjacent layers", z, x, lambda: FeatureChain((encoder, encoder), (0.0, 0.0), 0.0)),
+        ("deficiency: prior", theta, u, lambda: weighted_directed_deficiency(t_exp, t_exp, other)),
+        ("deficiency: experiments must share hypotheses", theta, u,
+         lambda: weighted_directed_deficiency(t_exp, alien, prior)),
+        ("deficiency: experiments must share hypotheses", theta, u, lambda: directed_deficiency(t_exp, alien)),
     ):
-        with pytest.raises(SpaceMismatchError, match="bottleneck: prior"):
+        with pytest.raises(SpaceMismatchError) as err:
             call()
-    for name, call in (
-        ("regret", lambda: regret(loss, other, prior)),
-        ("regret", lambda: regret(loss, prior, other)),
-        ("conditional_entropy", lambda: conditional_entropy(other, encoder)),
-        ("mutual_information", lambda: mutual_information(other, encoder)),
-        ("pushforward", lambda: pushforward(t_exp, other)),
-        ("bayes_inverse", lambda: bayes_inverse(t_exp, other)),
-    ):
-        with pytest.raises(SpaceMismatchError, match=f"^{name}: expected space"):
-            call()
+        assert str(err.value) == f"{context}: expected space {expected.labels}, got {got.labels}"
 
 
 @pytest.mark.parametrize("name, kwargs, message", [
