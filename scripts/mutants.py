@@ -58,6 +58,18 @@ MUTANTS = (
            '"weighted": {"method": "highs"},'),
     Mutant("_weighted_batch splits at >=", "src/finexp/deficiency.py",
            "if group and rows + r > _BATCH_ROWS:", "if group and rows + r >= _BATCH_ROWS:"),
+    Mutant("weighted delta unclamped", "src/finexp/deficiency.py",
+           "delta = max(0.0, -float(np.cumsum(c[c0:c1] * res.x[c0:c1])[-1]))",
+           "delta = -float(np.cumsum(c[c0:c1] * res.x[c0:c1])[-1])"),
+    Mutant("_freeze without setflags", "src/finexp/kernels.py",
+           "    array.setflags(write=False)\n", ""),
+    Mutant("_float_array without a copy", "src/finexp/kernels.py",
+           "    array = np.array(values, dtype=float)\n", "    array = np.asarray(values, dtype=float)\n"),
+    Mutant("IB state encoder unchecked", "src/finexp/bottleneck.py",
+           '    _check_space("bottleneck: state encoder input", experiment.target, state.encoder.source)\n', ""),
+    Mutant("IB state centroids unchecked", "src/finexp/bottleneck.py",
+           '    _check_space("bottleneck: state centroid posteriors", experiment.source, '
+           'state.centroid_posteriors.target)\n', ""),
 )
 
 

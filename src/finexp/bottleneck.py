@@ -100,6 +100,8 @@ def _objective(
 def _state_objective(
     state: IBState, loss: LossMatrix, prior: Distribution, experiment: MarkovKernel, beta: float
 ) -> float:
+    _check_space("bottleneck: state encoder input", experiment.target, state.encoder.source)
+    _check_space("bottleneck: state centroid posteriors", experiment.source, state.centroid_posteriors.target)
     problem = _problem(loss, prior, experiment)
     table = _regret_table(problem, state.centroid_posteriors.matrix)
     return _objective(problem, state.encoder.matrix, table, state.latent_prior.mass, beta)

@@ -25,6 +25,8 @@ from .kernels import (
     _bayes_inverse_matrix,
     _check_space,
     _deterministic,
+    _float_array,
+    _freeze,
 )
 
 _LN2 = math.log(2.0)
@@ -39,17 +41,13 @@ class LossMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        expected = (self.theta.size, self.actions.size)
-        if v.shape != expected:
-            raise ValueError(f"loss needs shape {expected}, got {v.shape}")
+        v = _float_array(self.values, (self.theta.size, self.actions.size), "loss")
         if not np.all(np.isfinite(v)):
             raise ValueError("loss entries must be finite")
         # regrets and feature gaps are differences of losses, so their range must be finite too
         if not math.isfinite(float(v.max()) - float(v.min())):
             raise ValueError("loss range max - min overflows to infinity; rescale the loss")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _freeze(self, "values", v)
 
 
 def value(loss: LossMatrix, prior: Distribution, experiment: MarkovKernel) -> float:

@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .decisions import LossMatrix
 from .kernels import Distribution, FiniteSpace, MarkovKernel
 
@@ -101,7 +99,7 @@ def experiment_from_dict(doc: dict, max_dim: float = DEFAULT_MAX_DIM) -> Experim
         for name, body in _entries(doc, key, what):
             try:
                 spaces = [_space_ref(out.spaces, body.get(f), f"{what} {name!r}") for f in space_fields]
-                table[name] = build(*spaces, np.asarray(body[data_field], dtype=float))
+                table[name] = build(*spaces, body[data_field])
             except SchemaError:
                 raise
             except (TypeError, ValueError, KeyError) as err:

@@ -6,6 +6,10 @@ kernel from a space of size m to a space of size k is a k-by-m matrix
 whose columns are distributions (column x is the output distribution given
 input x).  All values are immutable after construction and all operations
 are pure functions, so everything here is safe to share across threads.
+Each value object (``Distribution``, ``MarkovKernel`` and
+``decisions.LossMatrix``) stores a float copy of its input made by
+``_float_array``, and ``_freeze`` is the one place such an array becomes
+read-only, so an array passed in is never changed or frozen.
 
 Objects combine only over one shared space.  The public functions of the
 package check that through ``_check_space``, its only raiser of
@@ -66,6 +70,20 @@ def _deterministic(index: np.ndarray, size: int) -> np.ndarray:
     return (np.arange(size)[:, None] == index).astype(float)
 
 
+def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A float copy of ``values``, which must have ``shape``."""
+    array = np.array(values, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{what} needs shape {shape}, got {array.shape}")
+    return array
+
+
+def _freeze(obj, name: str, array: np.ndarray) -> None:
+    """Write-protect ``array`` and store it as field ``name`` of the frozen dataclass ``obj``."""
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+
+
 def _normalize_columns(matrix: np.ndarray, what: str) -> np.ndarray:
     """Validate nonnegativity and column sums, dividing out tiny drift."""
     if not np.all(np.isfinite(matrix)):
@@ -94,15 +112,10 @@ class Distribution:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.mass, dtype=float)
-        if m.shape != (self.space.size,):
-            raise ValueError(
-                f"distribution over {self.space.labels} needs shape "
-                f"({self.space.size},), got {m.shape}"
-            )
-        m = _normalize_columns(m[:, None], "distribution")[:, 0]
-        m.setflags(write=False)
-        object.__setattr__(self, "mass", m)
+        m = _float_array(self.mass, (self.space.size,), f"distribution over {self.space.labels}")
+        # normalizes m in place through the column view, so m itself is frozen, not a view of it
+        _normalize_columns(m[:, None], "distribution")
+        _freeze(self, "mass", m)
 
 
 def uniform(space: FiniteSpace) -> Distribution:
@@ -118,16 +131,9 @@ class MarkovKernel:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        expected = (self.target.size, self.source.size)
-        if m.shape != expected:
-            raise ValueError(
-                f"kernel {self.source.labels} -> {self.target.labels} needs shape "
-                f"{expected}, got {m.shape}"
-            )
-        m = _normalize_columns(m, "kernel")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        what = f"kernel {self.source.labels} -> {self.target.labels}"
+        m = _float_array(self.matrix, (self.target.size, self.source.size), what)
+        _freeze(self, "matrix", _normalize_columns(m, "kernel"))
 
     def column(self, x: int) -> Distribution:
         return Distribution(self.target, self.matrix[:, x])

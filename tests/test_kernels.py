@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finexp import kernels
+from finexp.decisions import LossMatrix
 from finexp.kernels import (
     Distribution,
     FiniteSpace,
@@ -68,6 +69,26 @@ class TestConstruction:
         d = uniform(FiniteSpace.of_size(3))
         with pytest.raises(ValueError):
             d.mass[0] = 0.9
+
+    @pytest.mark.parametrize("build, field, values", [
+        # the first entry drifts from a sum of one, so construction divides it out
+        (lambda v: Distribution(FiniteSpace.of_size(2), v), "mass", [0.5 + 5e-10, 0.5]),
+        (lambda v: MarkovKernel(FiniteSpace.of_size(2), FiniteSpace.of_size(2), v), "matrix",
+         [[1.0, 0.5 + 5e-10], [0.0, 0.5]]),
+        (lambda v: LossMatrix(FiniteSpace.of_size(2), FiniteSpace.of_size(3), v), "values",
+         [[0.0, 1.0, 2.0], [1.0, 0.0, -1.0]]),
+    ], ids=["Distribution", "MarkovKernel", "LossMatrix"])
+    def test_value_objects_freeze_a_copy(self, build, field, values):
+        given = np.array(values)
+        stored = getattr(build(given), field)
+        # the caller's array stays writable and unchanged, renormalized or not
+        assert given.flags.writeable
+        np.testing.assert_array_equal(given, np.array(values))
+        assert not np.shares_memory(stored, given)
+        with pytest.raises(ValueError):
+            stored[0] = 0.25
+        # the stored array owns its data, so no writable array sits behind it
+        assert stored.flags.owndata
 
 
 class TestCompose:
@@ -248,3 +269,10 @@ def test_only_check_space_raises_space_mismatch():
         )
 
     assert set(code_sites(package, raises_space_mismatch)) == {"kernels._check_space"}
+
+
+def test_only_freeze_write_protects_arrays():
+    def sets_flags(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags"
+
+    assert code_sites(Path(kernels.__file__).parent, sets_flags) == ["kernels._freeze"]

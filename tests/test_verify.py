@@ -340,6 +340,9 @@ def test_public_functions_check_spaces():
     # the experiment and the loss over hypotheses u instead of theta
     alien = MarkovKernel(u, x, t_exp.matrix)
     alien_loss = LossMatrix(u, loss.actions, loss.values)
+    # the experiment with its outputs x relabelled w
+    w = FiniteSpace.of_size(x.size, "w")
+    relabelled = MarkovKernel(theta, w, t_exp.matrix)
     state = ib_learn(loss, prior, t_exp, latent_size=2)
     for context, expected, got, call in (
         ("value: prior", theta, u, lambda: value(loss, other, t_exp)),
@@ -352,6 +355,8 @@ def test_public_functions_check_spaces():
         ("bottleneck: prior", theta, u, lambda: ib_distortion(state, loss, other, t_exp)),
         ("bottleneck: prior", theta, u, lambda: ib_objective(state, loss, other, t_exp)),
         ("bottleneck: loss hypotheses", theta, u, lambda: ib_learn(alien_loss, prior, t_exp, latent_size=2)),
+        ("bottleneck: state encoder input", w, x, lambda: ib_distortion(state, loss, prior, relabelled)),
+        ("bottleneck: state centroid posteriors", u, theta, lambda: ib_objective(state, loss, prior, alien)),
         ("regret", theta, u, lambda: regret(loss, other, prior)),
         ("regret", theta, u, lambda: regret(loss, prior, other)),
         ("conditional_entropy", x, u, lambda: conditional_entropy(other, encoder)),
