@@ -50,36 +50,34 @@ def _relabellings(arg):
 
 
 def _objects():
-    """A prior, an experiment, an encoder, a loss and a learned IB state over spaces of sizes 3, 4, 2 and 3."""
+    """Named arguments over spaces t, x, z and a of sizes 3, 4, 2 and 3, with an IB state learned on them."""
     rng = np.random.default_rng(7)
     theta, x, z, a = (FiniteSpace.of_size(n, prefix) for n, prefix in ((3, "t"), (4, "x"), (2, "z"), (3, "a")))
-    prior = random_distribution(rng, theta)
-    t_exp = random_kernel(rng, theta, x)
-    encoder = random_kernel(rng, x, z)
-    loss = random_loss(rng, theta, a)
-    return prior, t_exp, encoder, loss, ib_learn(loss, prior, t_exp, latent_size=2)
+    prior, experiment, loss = random_distribution(rng, theta), random_kernel(rng, theta, x), random_loss(rng, theta, a)
+    return {"theta": theta, "prior": prior, "experiment": experiment, "encoder": random_kernel(rng, x, z),
+            "loss": loss, "state": ib_learn(loss, prior, experiment, latent_size=2)}
 
 
-#: function -> (its arguments built from ``_objects()``, the (argument index, space) pairs free for it)
+#: function -> (its arguments, by name in ``_objects()`` or as literals; the (argument index, space) pairs free for it)
 CALLS = {
-    "autoencode": (lambda p, t, e, l, s: (p, 2), {(0, "space")}),
-    "bayes_decision_rule": (lambda p, t, e, l, s: (l, p, t), {(0, "actions"), (2, "target")}),
-    "bayes_inverse": (lambda p, t, e, l, s: (t, p), {(0, "target")}),
-    "compose": (lambda p, t, e, l, s: (e, t), {(0, "target"), (1, "source")}),
-    "conditional_entropy": (lambda p, t, e, l, s: (p, t), {(1, "target")}),
-    "directed_deficiency": (lambda p, t, e, l, s: (t, t), {(0, "target"), (1, "target")}),
-    "feature_gap": (lambda p, t, e, l, s: (l, p, t, e), {(0, "actions"), (3, "target")}),
-    "generic_quality": (lambda p, t, e, l, s: (t, p), {(0, "target")}),
-    "ib_distortion": (lambda p, t, e, l, s: (s, l, p, t), {(0, "latent"), (1, "actions")}),
-    "ib_learn": (lambda p, t, e, l, s: (l, p, t, 2), {(0, "actions"), (2, "target")}),
-    "ib_objective": (lambda p, t, e, l, s: (s, l, p, t), {(0, "latent"), (1, "actions")}),
-    "mutual_information": (lambda p, t, e, l, s: (p, t), {(1, "target")}),
-    "pushforward": (lambda p, t, e, l, s: (t, p), {(0, "target")}),
-    "regret": (lambda p, t, e, l, s: (l, p, p), {(0, "actions")}),
-    "stack": (lambda p, t, e, l, s: (p, [2]), {(0, "space")}),
-    "uniform": (lambda p, t, e, l, s: (p.space,), {(0, "space")}),
-    "value": (lambda p, t, e, l, s: (l, p, t), {(0, "actions"), (2, "target")}),
-    "weighted_directed_deficiency": (lambda p, t, e, l, s: (t, t, p), {(0, "target"), (1, "target")}),
+    "autoencode": (("prior", 2), {(0, "space")}),
+    "bayes_decision_rule": (("loss", "prior", "experiment"), {(0, "actions"), (2, "target")}),
+    "bayes_inverse": (("experiment", "prior"), {(0, "target")}),
+    "compose": (("encoder", "experiment"), {(0, "target"), (1, "source")}),
+    "conditional_entropy": (("prior", "experiment"), {(1, "target")}),
+    "directed_deficiency": (("experiment", "experiment"), {(0, "target"), (1, "target")}),
+    "feature_gap": (("loss", "prior", "experiment", "encoder"), {(0, "actions"), (3, "target")}),
+    "generic_quality": (("experiment", "prior"), {(0, "target")}),
+    "ib_distortion": (("state", "loss", "prior", "experiment"), {(0, "latent"), (1, "actions")}),
+    "ib_learn": (("loss", "prior", "experiment", 2), {(0, "actions"), (2, "target")}),
+    "ib_objective": (("state", "loss", "prior", "experiment"), {(0, "latent"), (1, "actions")}),
+    "mutual_information": (("prior", "experiment"), {(1, "target")}),
+    "pushforward": (("experiment", "prior"), {(0, "target")}),
+    "regret": (("loss", "prior", "prior"), {(0, "actions")}),
+    "stack": (("prior", (2,)), {(0, "space")}),
+    "uniform": (("theta",), {(0, "space")}),
+    "value": (("loss", "prior", "experiment"), {(0, "actions"), (2, "target")}),
+    "weighted_directed_deficiency": (("experiment", "experiment", "prior"), {(0, "target"), (1, "target")}),
 }
 #: public functions whose arguments hold no space
 SPACELESS = {"load_experiment", "run_all", "run_suite"}
@@ -93,8 +91,9 @@ def test_every_public_function_is_audited():
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_relabelling_a_tied_space_raises(name):
-    build, free = CALLS[name]
-    function, args = getattr(finexp, name), build(*_objects())
+    spec, free = CALLS[name]
+    objects = _objects()
+    function, args = getattr(finexp, name), [objects[arg] if isinstance(arg, str) else arg for arg in spec]
     function(*args)
     silent = set()
     for i, arg in enumerate(args):
