@@ -78,23 +78,23 @@ class TestLoad:
         ("kernels", {"from": "Theta", "to": "X"}, "kernel 'bad': 'matrix'"),
         ("kernels", {"from": "Theta", "to": "X", "matrix": [[0.5, "x"]]},
          "kernel 'bad': could not convert string to float: 'x'"),
-        ("kernels", {"from": "Theta", "to": "X", "matrix": [0.5, 0.5]},
-         "kernel 'bad': kernel ('h0', 'h1') -> ('x0', 'x1') needs shape (2, 2), got (2,)"),
         ("losses", {"theta": "Theta", "actions": "Nope", "values": [[0.0]]},
          "loss 'bad': unknown space 'Nope'; available: ['A', 'Theta', 'X']"),
         ("losses", {"theta": "Theta", "actions": "A"}, "loss 'bad': 'values'"),
         ("losses", {"theta": "Theta", "actions": "A", "values": [1.0, 2.0, 3.0]},
          "loss 'bad': loss needs shape (2, 2), got (3,)"),
-        ("losses", {"theta": "Theta", "actions": "A", "values": [[0.0, float("inf")], [1.0, 0.0]]},
-         "loss 'bad': loss entries must be finite"),
-        ("losses", {"theta": "Theta", "actions": "A", "values": [[-1e308, 1e308], [1.0, 0.0]]},
-         "loss 'bad': loss range max - min overflows to infinity; rescale the loss"),
         ("distributions", {"space": "Theta", "mass": [float("nan"), 1.0]},
          "distribution 'bad': distribution has non-finite entries"),
         ("kernels", {"from": "Theta", "to": "X", "matrix": [[float("inf"), 0.1], [0.1, 0.9]]},
          "kernel 'bad': kernel has non-finite entries"),
         ("spaces", ["a", "a"], "space 'bad': labels are not distinct: ('a', 'a')"),
         ("spaces", [], "space 'bad': a finite space needs at least one label"),
+        ("kernels", {"from": "Theta", "to": "X", "matrix": [0.5, 0.5]},
+         "kernel 'bad': kernel ('h0', 'h1') -> ('x0', 'x1') needs shape (2, 2), got (2,)"),
+        ("losses", {"theta": "Theta", "actions": "A", "values": [[0.0, float("inf")], [1.0, 0.0]]},
+         "loss 'bad': loss entries must be finite"),
+        ("losses", {"theta": "Theta", "actions": "A", "values": [[-1e308, 1e308], [1.0, 0.0]]},
+         "loss 'bad': loss range max - min overflows to infinity; rescale the loss"),
     ])
     def test_entry_error_messages(self, section, body, message):
         doc = json.loads(json.dumps(SAMPLE))
