@@ -70,6 +70,18 @@ MUTANTS = (
     Mutant("IB state centroids unchecked", "src/finexp/bottleneck.py",
            '    _check_space("bottleneck: state centroid posteriors", experiment.source, '
            'state.centroid_posteriors.target)\n', ""),
+    Mutant("feature_gap unfloored", "src/finexp/decisions.py",
+           "    return 0.0 if gap <= 0 else gap\n", "    return gap\n"),
+    Mutant("_CONVERGENCE_TOL 1e-6", "src/finexp/bottleneck.py",
+           "_CONVERGENCE_TOL = 1e-9\n", "_CONVERGENCE_TOL = 1e-6\n"),
+    Mutant("_RENORM_FLOOR at STOCHASTIC_ATOL", "src/finexp/kernels.py",
+           "_RENORM_FLOOR = 1e-13\n", "_RENORM_FLOOR = STOCHASTIC_ATOL\n"),
+    Mutant("_seed_assignment ties to the later seed", "src/finexp/bottleneck.py",
+           "        assign[column < nearest] = z\n", "        assign[column <= nearest] = z\n"),
+    Mutant("autoencode argsort unstable", "src/finexp/reconstruction.py",
+           'order = np.argsort(-px, kind="stable")', "order = np.argsort(-px)"),
+    Mutant("space mismatch exits 2", "src/finexp/cli.py",
+           "        return EXIT_CONFORMANCE_ERROR\n", "        return EXIT_INPUT_ERROR\n"),
 )
 
 

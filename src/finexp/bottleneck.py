@@ -171,17 +171,27 @@ def _seed_assignment(problem: _Problem, k: int, rng: np.random.Generator) -> np.
     """
     support = np.flatnonzero(problem.px > 0)
     seed = int(rng.choice(support))
-    nearest = _regret_table(problem, problem.posts[:, [seed]])[:, 0]
+    nearest = np.full(problem.px.size, np.inf)
     assign = np.zeros(nearest.size, dtype=int)
-    for z in range(1, k):
-        if nearest[support].max() <= 1e-15:
-            break
-        seed = int(support[np.argmax(nearest[support])])
+    for z in range(k):
         column = _regret_table(problem, problem.posts[:, [seed]])[:, 0]
         # strictly closer only, so ties stay with the earliest seed
         assign[column < nearest] = z
         nearest = np.minimum(nearest, column)
+        if nearest[support].max() <= 1e-15:
+            break
+        seed = int(support[np.argmax(nearest[support])])
     return assign
+
+
+def _largest_rise(trace) -> float:
+    """The largest step up between consecutive values of an objective trace, or 0.0 if it never rises.
+
+    NaN anywhere gives NaN, and so does a step from inf to inf, so a
+    comparison with a tolerance fails on both; no numpy warning is raised.
+    """
+    with np.errstate(invalid="ignore"):
+        return float(np.diff(np.asarray(trace, dtype=float)).max(initial=0.0))
 
 
 def ib_learn(

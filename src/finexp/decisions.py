@@ -105,7 +105,9 @@ def feature_gap(
     """Value lost by deciding from encoded data instead of raw data (>= 0)."""
     _check_space("feature_gap: encoder input", experiment.target, encoder.source)
     _check_value_spaces(loss, prior, experiment, "feature_gap")
-    return float(_feature_gap(encoder.matrix, experiment.matrix, prior.mass, loss.values))
+    gap = float(_feature_gap(encoder.matrix, experiment.matrix, prior.mass, loss.values))
+    # the coarser value is never the smaller one, so a gap below 0 is rounding; a NaN passes through
+    return 0.0 if gap <= 0 else gap
 
 
 def _feature_gap(
@@ -132,24 +134,26 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def conditional_entropy(prior: Distribution, encoder: MarkovKernel) -> float:
-    """H(input | output) in bits under the joint of prior and encoder."""
-    _check_space("conditional_entropy", encoder.source, prior.space)
+def _joint(prior: Distribution, encoder: MarkovKernel, caller: str) -> tuple[np.ndarray, float]:
+    """The joint [output, input] of prior and encoder, and -H(input | output) in nats under it."""
+    _check_space(caller, encoder.source, prior.space)
     jm = encoder.matrix * prior.mass[None, :]
     pz = jm.sum(axis=1)
-    return float((_xlogy(jm, pz[:, None]).sum() - _xlogy(jm, jm).sum()) / _LN2)
+    return jm, _xlogy(jm, jm).sum() - _xlogy(jm, pz[:, None]).sum()
+
+
+def conditional_entropy(prior: Distribution, encoder: MarkovKernel) -> float:
+    """H(input | output) in bits under the joint of prior and encoder."""
+    _, nats = _joint(prior, encoder, "conditional_entropy")
+    return float(-nats / _LN2)
 
 
 def mutual_information(prior: Distribution, encoder: MarkovKernel) -> float:
     """I(input ; output) in bits under the joint of prior and encoder."""
-    _check_space("mutual_information", encoder.source, prior.space)
-    jm = encoder.matrix * prior.mass[None, :]
-    pz = jm.sum(axis=1)
+    jm, nats = _joint(prior, encoder, "mutual_information")
     # ln jm - ln pz - ln prior term by term: the product pz * prior may
     # underflow to 0 where jm does not
-    nats = (
-        _xlogy(jm, jm).sum() - _xlogy(jm, pz[:, None]).sum() - _xlogy(jm, prior.mass[None, :]).sum()
-    )
+    nats -= _xlogy(jm, prior.mass[None, :]).sum()
     # a KL divergence, so a sum below 0 is rounding; a NaN passes through
     bits = float(nats / _LN2)
     return 0.0 if bits <= 0 else bits

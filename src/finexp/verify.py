@@ -1,4 +1,4 @@
-"""Seeded property suites exercising the toolkit's guarantees end to end.
+"""Seeded property suites exercising the toolkit's guarantees end to end, and their random draws.
 
 Each suite draws random instances from a seeded generator and emits one or
 more named checks per trial.  A check records a violation amount and the
@@ -6,6 +6,11 @@ tolerance it is judged against: violation <= tolerance passes, and the
 reported slack is tolerance minus violation (so the worst slack across a
 suite is its distance from failing).  Identical arguments always reproduce
 identical reports.
+
+The draws live here too.  Priors and experiment columns are uniform
+Dirichlet draws and losses are uniform on [-1, 1]: ``_random_columns``
+draws such a matrix, and ``random_distribution``, ``random_kernel`` and
+``random_loss`` wrap a draw in a validated object.
 
 The suites that solve deficiency LPs draw every trial first, then solve all
 of their LPs in one batch, then judge each trial.  No solve consumes the
@@ -33,12 +38,11 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .bottleneck import ib_distortion, ib_learn
-from .decisions import _feature_gap, _value, conditional_entropy, feature_gap, regret, value
+from .bottleneck import _largest_rise, ib_distortion, ib_learn
+from .decisions import LossMatrix, _feature_gap, _value, conditional_entropy, feature_gap, regret, value
 from .deficiency import _weighted_batch
 from .kernels import Distribution, FiniteSpace, MarkovKernel, bayes_inverse, compose, pushforward
 from .reconstruction import _generic_quality, autoencode, generic_quality, stack
-from .sampling import _random_columns, random_distribution, random_kernel, random_loss
 
 #: Random losses sampled per trial of ``value_gap_bound``.
 _LOSSES_PER_TRIAL = 500
@@ -79,13 +83,28 @@ class SuiteReport:
         return {**asdict(self), "passes": self.checks - self.failures, "passed": self.passed}
 
 
-def _space_sizes(rng: np.random.Generator, max_dim: int, n: int) -> list[int]:
-    return [int(rng.integers(2, max_dim + 1)) for _ in range(n)]
+def random_distribution(rng: np.random.Generator, space: FiniteSpace) -> Distribution:
+    """Uniform Dirichlet draw."""
+    return Distribution(space, rng.dirichlet(np.ones(space.size)))
+
+
+def _random_columns(rng: np.random.Generator, n_source: int, n_target: int) -> np.ndarray:
+    """n_target-by-n_source matrix whose columns are uniform Dirichlet draws."""
+    return rng.dirichlet(np.ones(n_target), size=n_source).T
+
+
+def random_kernel(rng: np.random.Generator, source: FiniteSpace, target: FiniteSpace) -> MarkovKernel:
+    return MarkovKernel(source, target, _random_columns(rng, source.size, target.size))
+
+
+def random_loss(rng: np.random.Generator, theta: FiniteSpace, actions: FiniteSpace) -> LossMatrix:
+    """Losses drawn uniformly from [-1, 1]."""
+    return LossMatrix(theta, actions, rng.uniform(-1.0, 1.0, size=(theta.size, actions.size)))
 
 
 def _problem(rng, max_dim, n_outputs=1):
     """Prior masses over random hypotheses, and experiment matrices from them to random output sizes."""
-    sizes = _space_sizes(rng, max_dim, 1 + n_outputs)
+    sizes = [int(rng.integers(2, max_dim + 1)) for _ in range(1 + n_outputs)]
     mass = rng.dirichlet(np.ones(sizes[0]))
     return mass, [_random_columns(rng, sizes[0], size) for size in sizes[1:]]
 
@@ -109,6 +128,11 @@ def _symmetric(pairs) -> list[float]:
     return [max(d12, d21) for d12, d21 in zip(both[::2], both[1::2])]
 
 
+def _largest_normalized_gap(t, u, mass, losses, norms) -> float:
+    """Largest |value gap| between matrices T and U over a stack of losses, each divided by its sup-norm."""
+    return float((np.abs(_value(t, mass, losses) - _value(u, mass, losses)) / norms).max())
+
+
 def suite_randomization(rng, trials, max_dim) -> Iterable[Check]:
     """Simulation error bounds the value advantage, loss by loss."""
     drawn = []
@@ -130,11 +154,9 @@ def suite_value_gap_bound(rng, trials, max_dim) -> Iterable[Check]:
         mass, (t, u) = _problem(rng, max_dim, 2)
         na = int(rng.integers(2, max(3, max_dim) + 1))
         losses = rng.uniform(-1.0, 1.0, size=(_LOSSES_PER_TRIAL, mass.size, na))
-        # reduced as drawn: keeping every trial's losses would hold 14 MB at max_dim 6
-        norms = np.abs(losses).max(axis=(1, 2))
-        ratios = np.abs(_value(t, mass, losses) - _value(u, mass, losses)) / norms
         drawn.append((t, u, mass))
-        sampled.append(float(ratios.max()))
+        # reduced as drawn: keeping every trial's losses would hold 14 MB at max_dim 6
+        sampled.append(_largest_normalized_gap(t, u, mass, losses, np.abs(losses).max(axis=(1, 2))))
     for i, (ratio, delta) in enumerate(zip(sampled, _symmetric(drawn))):
         yield Check(f"trial{i}", ratio - delta, 1e-6)
 
@@ -162,8 +184,7 @@ def suite_binary_cost_sweep(rng, trials, max_dim) -> Iterable[Check]:
         u = _random_columns(rng, 2, int(rng.integers(2, hi + 1)))
         drawn.append((t, u, mass))
     for i, ((t, u, mass), delta) in enumerate(zip(drawn, _symmetric(drawn))):
-        sampled = float((np.abs(_value(t, mass, losses) - _value(u, mass, losses)) / norms).max())
-        yield Check(f"trial{i}", delta - sampled, 0.05)
+        yield Check(f"trial{i}", delta - _largest_normalized_gap(t, u, mass, losses, norms), 0.05)
 
 
 def suite_encoder_shift_bound(rng, trials, max_dim) -> Iterable[Check]:
@@ -308,14 +329,12 @@ def suite_ib(rng, trials, max_dim) -> Iterable[Check]:
         seed = int(rng.integers(0, 2**31 - 1))
 
         hard = ib_learn(loss, prior, t_exp, latent_size=t_exp.target.size, beta=0.0, seed=seed)
-        steps = np.diff(np.array(hard.objective_trace))
-        yield Check(f"trial{i}_monotone0", float(steps.max(initial=0.0)), 1e-9)
+        yield Check(f"trial{i}_monotone0", _largest_rise(hard.objective_trace), 1e-9)
         yield Check(f"trial{i}_gap", ib_distortion(hard, loss, prior, t_exp), 1e-9)
 
         beta = float(10.0 ** rng.uniform(-2, 1))
         soft = ib_learn(loss, prior, t_exp, latent_size=2, beta=beta, seed=seed)
-        steps = np.diff(np.array(soft.objective_trace))
-        yield Check(f"trial{i}_monotone_beta", float(steps.max(initial=0.0)), 1e-9)
+        yield Check(f"trial{i}_monotone_beta", _largest_rise(soft.objective_trace), 1e-9)
 
 
 def suite_hellman_raviv(rng, trials, max_dim) -> Iterable[Check]:

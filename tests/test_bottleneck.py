@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import finexp.bottleneck
 from finexp.bottleneck import (
     IBState,
+    _largest_rise,
     _objective,
     _problem,
     _regret_table,
@@ -30,7 +33,7 @@ from finexp.kernels import (
     pushforward,
     uniform,
 )
-from finexp.sampling import random_distribution, random_kernel, random_loss
+from finexp.verify import random_distribution, random_kernel, random_loss
 
 from strategies import blind_kernel, identity_kernel, information_gap, zero_one_loss
 
@@ -372,3 +375,24 @@ class TestLearn:
         other = FiniteSpace.of_size(2, "u")
         with pytest.raises(SpaceMismatchError, match="loss hypotheses"):
             ib_learn(zero_one_loss(other), pi, exp, latent_size=2)
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        [0.4, 0.4],
+        [1.0, 1.0 + 2e-9],
+        [1.0, 1.0 + 5e-10],
+        [math.inf, math.inf],
+        [math.inf, 5.0],
+        [1.0, math.nan],
+        [math.nan, 1.0],
+        [1.0, 2.0, 1.0],
+    ],
+)
+def test_largest_rise_agrees_with_the_pairwise_rule(trace):
+    # the pairwise rule is the ib command's former trace_nonincreasing, which a NaN step fails
+    pairwise = all(b - a <= 1e-9 for a, b in zip(trace, trace[1:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (_largest_rise(trace) <= 1e-9) == pairwise

@@ -384,6 +384,22 @@ class TestIB:
         assert code == 0
         assert out["mutual_information_bits"] == 0.0
 
+    def test_feature_gap_never_negative(self, capsys, tmp_path):
+        # the two values once differed by rounding and printed -1.3877787807814457e-17
+        doc = {
+            "spaces": {"Theta": ["h0", "h1"], "X": ["x0", "x1"], "A": ["a0", "a1"]},
+            "distributions": {"p": {"space": "Theta", "mass": [0.29, 0.71]}},
+            "kernels": {
+                "e": {"from": "Theta", "to": "X", "matrix": [[0.7, 0.95], [0.30000000000000004, 0.050000000000000044]]},
+            },
+            "losses": {"l": {"theta": "Theta", "actions": "A", "values": [[-0.2, 0.4], [0.2, 0.9]]}},
+        }
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        argv = ["ib", str(path), "--experiment", "e", "--prior", "p", "--loss", "l", "--latent", "2"]
+        assert main(argv) == 0
+        assert '"feature_gap": 0.0,' in capsys.readouterr().out
+
     def test_loss_range_overflow_exits_2(self, capsys, tmp_path):
         # every entry is finite, but the regrets span 3.4e308 and once printed Infinity
         doc = json.loads(json.dumps(SAMPLE))

@@ -140,12 +140,21 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+#: Output fields that are deficiencies, qualities, gaps or information, so never below 0.
+NONNEGATIVE = (
+    "delta", "objective_gap", "epsilon", "total_epsilon", "feature_gap", "distortion", "mutual_information_bits",
+)
+
+
 def check_run(argv):
     code, out, err = run_main(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 0:
-        strict_json(out)
+        payload = strict_json(out)
+        fields = [(key, payload[key]) for key in NONNEGATIVE if key in payload]
+        fields += [("layer_epsilon", eps) for eps in payload.get("layer_epsilon", ())]
+        assert all(value >= 0 for _, value in fields), (argv, fields)
     else:
         assert out == "", (argv, out)
 

@@ -21,8 +21,7 @@ from finexp.kernels import (
     compose,
     uniform,
 )
-from finexp.sampling import random_distribution, random_kernel, random_loss
-from finexp.verify import _symmetric, run_suite
+from finexp.verify import _symmetric, random_distribution, random_kernel, random_loss, run_suite
 
 from strategies import bayes_risk, blind_kernel, code_sites, identity_kernel, symmetric_deficiency
 

@@ -22,7 +22,7 @@ from finexp import (
     SpaceMismatchError,
     ib_learn,
 )
-from finexp.sampling import random_distribution, random_kernel, random_loss
+from finexp.verify import random_distribution, random_kernel, random_loss
 
 #: the fields of a value object that hold its spaces
 SPACE_FIELDS = {Distribution: ("space",), MarkovKernel: ("source", "target"), LossMatrix: ("theta", "actions")}
